@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .fields import PrimeField, Rationals
 from .groupoid import FiniteGroupoid
 
 

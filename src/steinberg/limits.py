@@ -10,6 +10,10 @@ MAX_GROUPOID_ELEMENTS = 512
 # Ceiling on exhaustive vector enumeration (q ** dimension).
 ENUM_CAP = 1 << 20
 
+# Largest ideal the characteristic-zero minimality test accepts: it spins
+# every vector of a spanning set of size |G| + 1 by exact rational reduction.
+MAX_CHAR0_MINIMALITY_DIMENSION = 12
+
 ENUM_CAP_ENV = "STEINBERG_MAX_ENUM"
 
 

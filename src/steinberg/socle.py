@@ -10,12 +10,16 @@ is minimal, and the character of the generator splits by the field:
   (t A t = 0) and the ideal squares to zero ("absolute_zero_divisor" flavour).
 
 Socle assembly only sees the semisimple part.  A unit x contributes 1_x to
-the socle exactly when its isotropy is trivial, and then the two-sided ideal
-(1_x) splits as the direct sum of the left ideals A 1_y over the orbit of x,
-each of dimension equal to the orbit size, so the component is a full matrix
-algebra of that size.  The engine refuses to assemble a socle unless every
-unit has trivial isotropy (condition (LP) specialised to finite groupoids);
-one violator is enough to make the refusal explicit rather than silent.
+the socle exactly when its isotropy is trivial.  The engine refuses to
+assemble a socle unless every unit has trivial isotropy (condition (LP)
+specialised to finite groupoids); one violator is enough to make the refusal
+explicit rather than silent.  Under (LP) the arrow y <- x between two units
+of an orbit is unique, and the arrows of an orbit of k units are matrix units
+e_yx of a full matrix algebra M_k(K).  The socle is then the whole algebra:
+socle() certifies the matrix-unit relations straight from the composition
+table and emits the standard basis, without any row reduction.
+homogeneous_component() computes the same blocks by closing ideals under
+multiplication and is the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from itertools import product
 from typing import Iterable
 
 from .algebra import AlgebraElement, SteinbergAlgebra, element_to_obj
-from .fields import PrimeField, Rationals
+from .fields import PrimeField, is_prime
 from .groupoid import FiniteGroupoid, OrbitClass
-from .limits import SizeCapExceeded, check_enum_size
+from .limits import MAX_CHAR0_MINIMALITY_DIMENSION, SizeCapExceeded, check_enum_size
 from .linalg import EchelonBasis
 
 DIVISION_IDEMPOTENT = "division_idempotent"
@@ -224,11 +228,15 @@ class MinimalityReport:
         return self.minimal
 
 
-def _spin_dim(algebra: SteinbergAlgebra, vec: list) -> int:
-    """dim A*v.  The products 1_g * v span the whole of A*v + K*v."""
+def _spin_dim(algebra: SteinbergAlgebra, vec: list, target: int) -> int:
+    """min(dim A*v, target).  The products 1_g * v span the whole of
+    A*v + K*v; callers pass v inside an ideal of dimension target, so the
+    spin cannot grow past it and stops as soon as it gets there."""
     basis = EchelonBasis(algebra.field, algebra.dim)
     for g in range(algebra.dim):
         basis.insert(algebra.left_action(g, vec))
+        if basis.dim == target:
+            break
     return basis.dim
 
 
@@ -271,7 +279,7 @@ def is_minimal_left_ideal(
             if not any(coeffs):
                 continue
             vec = _combo(field, rows, coeffs)
-            if _spin_dim(algebra, vec) != ideal.dimension:
+            if _spin_dim(algebra, vec, ideal.dimension) != ideal.dimension:
                 return MinimalityReport(
                     minimal=False,
                     method=f"exhaustive over GF({q})",
@@ -288,9 +296,10 @@ def is_minimal_left_ideal(
         )
     if not ideal.contains(certificate.generator):
         raise ValueError("the certificate generator does not lie in the ideal")
-    if ideal.dimension > 12:
+    if ideal.dimension > MAX_CHAR0_MINIMALITY_DIMENSION:
         raise SizeCapExceeded(
-            f"characteristic-zero minimality test is capped at dimension 12, got {ideal.dimension}"
+            "characteristic-zero minimality test is capped at dimension "
+            f"{MAX_CHAR0_MINIMALITY_DIMENSION}, got {ideal.dimension}"
         )
 
     # Spanning set closed under left multiplication by basis indicators.
@@ -301,7 +310,7 @@ def is_minimal_left_ideal(
     for vec in spanning:
         if all(field.is_zero(c) for c in vec):
             continue
-        if _spin_dim(algebra, vec) != ideal.dimension:
+        if _spin_dim(algebra, vec, ideal.dimension) != ideal.dimension:
             return MinimalityReport(
                 minimal=False,
                 method="certified construction",
@@ -330,19 +339,23 @@ def is_minimal_left_ideal(
 
 
 def _shadow_prime(gpd: FiniteGroupoid, dimension: int, max_enum: int | None) -> int:
-    from .fields import is_prime
+    """The least prime not dividing |G| whose exhaustive test fits the cap.
 
+    p^dimension only grows with p, so the first candidate over the cap ends
+    the scan with SizeCapExceeded; the scan never passes the cap's root.
+    """
     order = len(gpd.elements)
     p = 2
-    while p < 2**31:
+    while True:
+        try:
+            check_enum_size(p, dimension, max_enum)
+        except SizeCapExceeded as exc:
+            raise SizeCapExceeded(
+                f"no shadow prime coprime to |G| = {order} fits the cap: {exc}"
+            ) from None
         if is_prime(p) and order % p != 0:
-            try:
-                check_enum_size(p, dimension, max_enum)
-                return p
-            except SizeCapExceeded:
-                pass
+            return p
         p += 1
-    raise SizeCapExceeded("no workable shadow prime under the enumeration cap")
 
 
 # -- condition (LP) and the socle ------------------------------------------------
@@ -392,7 +405,8 @@ def homogeneous_component(algebra: SteinbergAlgebra, x: str) -> ComponentDecompo
     """(1_x) = direct sum of A 1_y over the orbit of x, for trivial isotropy x.
 
     Verifies the direct sum: the summand dimensions add up across the join
-    and the join equals the two-sided ideal generated by 1_x.
+    and the join equals the two-sided ideal generated by 1_x.  This is the
+    closure-based reference for the blocks that socle() emits in closed form.
     """
     gpd = algebra.groupoid
     if not gpd.is_unit(x):
@@ -451,35 +465,73 @@ class SocleReport:
         }
 
 
+def _arrows_by_ends(gpd: FiniteGroupoid) -> dict[tuple[str, str], str]:
+    """(range, source) -> the arrow between them; unique under (LP)."""
+    arrows: dict[tuple[str, str], str] = {}
+    for g in gpd.elements:
+        key = (gpd.r(g), gpd.s(g))
+        if key in arrows:
+            raise RuntimeError(
+                f"arrows {arrows[key]!r} and {g!r} both run from {key[1]!r} to {key[0]!r}"
+            )
+        arrows[key] = g
+    return arrows
+
+
+def _certify_matrix_units(
+    gpd: FiniteGroupoid, orbit: OrbitClass, arrows: dict[tuple[str, str], str]
+) -> None:
+    """e_yx * e_xz = e_yz for all units y, x, z of the orbit, by table lookup.
+
+    Products of non-composable arrows vanish by the definition of the
+    convolution, so these relations make the arrows of an orbit of k units a
+    full system of k x k matrix units.
+    """
+    members = orbit.members
+    try:
+        for x in members:
+            into_x = [(y, arrows[(y, x)]) for y in members]
+            for z in members:
+                e_xz = arrows[(x, z)]
+                for y, e_yx in into_x:
+                    if gpd.compose.get((e_yx, e_xz)) != arrows[(y, z)]:
+                        raise RuntimeError(
+                            f"matrix units fail at ({y!r}, {x!r}, {z!r}): "
+                            f"{e_yx!r} * {e_xz!r} is not {arrows[(y, z)]!r}"
+                        )
+    except KeyError as exc:
+        raise RuntimeError(
+            f"the orbit of {orbit.representative!r} has no arrow for (range, source) = {exc.args[0]!r}"
+        ) from None
+
+
 def socle(algebra: SteinbergAlgebra) -> SocleReport:
-    """The socle as the sum of the two-sided ideals (1_x) over orbit
-    representatives; refuses with an explanation unless condition (LP) holds."""
+    """The socle, refused with an explanation unless condition (LP) holds.
+
+    Under (LP) every orbit of k units spans a block M_k(K), so the socle is
+    the whole algebra.  The matrix units of each block are certified from the
+    composition table, the block dimensions must add up to |G|, and the basis
+    is the standard one in element order.
+    """
     report = check_condition_LP(algebra.groupoid)
     if not report.holds:
         raise LPViolationError(report)
     gpd = algebra.groupoid
+    arrows = _arrows_by_ends(gpd)
     components = []
-    basis = EchelonBasis(algebra.field, algebra.dim)
-    reps = []
     for orbit in gpd.orbit_classes():
-        rep = orbit.representative
-        reps.append(rep)
-        decomposition = homogeneous_component(algebra, rep)
-        components.append(
-            SocleComponent(
-                orbit=orbit,
-                dimension=decomposition.ideal.dimension,
-                matrix_size=len(orbit),
-            )
-        )
-        basis.extend(decomposition.ideal.basis_vectors())
+        _certify_matrix_units(gpd, orbit, arrows)
+        k = len(orbit)
+        components.append(SocleComponent(orbit=orbit, dimension=k * k, matrix_size=k))
+    if sum(c.dimension for c in components) != algebra.dim:
+        raise RuntimeError("the matrix blocks do not exhaust the algebra")
     return SocleReport(
         algebra=algebra,
         lp_holds=True,
-        generating_units=tuple(reps),
+        generating_units=tuple(c.orbit.representative for c in components),
         components=tuple(components),
-        socle_basis=tuple(algebra.from_vector(row) for row in basis.rows),
-        socle_dimension=basis.dim,
+        socle_basis=tuple(algebra.basis_element(g) for g in gpd.elements),
+        socle_dimension=algebra.dim,
     )
 
 

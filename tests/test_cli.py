@@ -99,6 +99,16 @@ def test_socle_report(run, files):
     assert doc["lp_holds"] is True
 
 
+def test_socle_at_the_element_cap(run, tmp_path):
+    path = tmp_path / "pair22.json"
+    path.write_text(json.dumps(to_json_obj(pair_groupoid([f"p{i}" for i in range(22)]))))
+    code, out, _ = run("socle", str(path), "--field", "q")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["socle_dimension"] == 484
+    assert [c["matrix_size"] for c in doc["components"]] == [22]
+
+
 def test_socle_output_is_deterministic(run, files):
     _, first, _ = run("socle", files["pair3"], "--field", "f3")
     _, second, _ = run("socle", files["pair3"], "--field", "f3")

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -12,13 +14,16 @@ from steinberg.builders import (
     transitive_groupoid,
     trivial_groupoid,
 )
-from steinberg.fields import PrimeField, Rationals
+from steinberg.fields import PrimeField, Rationals, field_from_designator
+from steinberg.groupoid import FiniteGroupoid
 from steinberg.limits import SizeCapExceeded
-from steinberg.linalg import intersection_is_zero
+from steinberg.linalg import EchelonBasis, intersection_is_zero
 from steinberg.socle import (
     ABSOLUTE_ZERO_DIVISOR,
     DIVISION_IDEMPOTENT,
     LPViolationError,
+    SocleComponent,
+    SocleReport,
     check_condition_LP,
     corner_compress,
     corner_minimality_transfer,
@@ -32,6 +37,22 @@ from steinberg.socle import (
 )
 
 Q = Rationals()
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail with TimeoutError instead of hanging past the limit."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_left_ideal_of_unit_indicator_has_arrow_count_dimension():
@@ -209,6 +230,16 @@ def test_minimality_dimension_cap_over_rationals():
         is_minimal_left_ideal(ideal, cert)
 
 
+def test_minimality_shadow_prime_scan_stops_at_the_cap():
+    # |G| = 144: GF(2) and GF(3) divide it and 5^12 is over the cap
+    g = pair_groupoid([f"p{i}" for i in range(12)])
+    algebra = SteinbergAlgebra(g, Q)
+    cert = minimal_ideal_generator(algebra, "p0")
+    ideal = left_ideal(algebra, [cert.generator])
+    with time_limit(5), pytest.raises(SizeCapExceeded):
+        is_minimal_left_ideal(ideal, cert)
+
+
 def test_minimality_enumeration_cap_over_prime_field():
     g = pair_groupoid(["a", "b", "c"])
     algebra = SteinbergAlgebra(g, PrimeField(2))
@@ -301,6 +332,75 @@ def test_socle_exhausts_principal_algebras():
         report = socle(algebra)
         assert report.socle_dimension == algebra.dim
         assert sum(c.matrix_size**2 for c in report.components) == algebra.dim
+
+
+def closure_socle(algebra: SteinbergAlgebra) -> SocleReport:
+    """The socle assembled by closing ideals: the reference for the closed form."""
+    components = []
+    basis = EchelonBasis(algebra.field, algebra.dim)
+    for orbit in algebra.groupoid.orbit_classes():
+        decomposition = homogeneous_component(algebra, orbit.representative)
+        components.append(
+            SocleComponent(
+                orbit=orbit,
+                dimension=decomposition.ideal.dimension,
+                matrix_size=len(orbit),
+            )
+        )
+        basis.extend(decomposition.ideal.basis_vectors())
+    return SocleReport(
+        algebra=algebra,
+        lp_holds=True,
+        generating_units=tuple(c.orbit.representative for c in components),
+        components=tuple(components),
+        socle_basis=tuple(algebra.from_vector(row) for row in basis.rows),
+        socle_dimension=basis.dim,
+    )
+
+
+def _closed_form_cases():
+    cases = [pair_groupoid([f"p{i}" for i in range(k)]) for k in range(2, 6)]
+    cases.append(disjoint_union(pair_groupoid(["a", "b"]), pair_groupoid(["c", "d", "e"])))
+    cases.append(
+        disjoint_union(
+            pair_groupoid(["a", "b", "c"]), pair_groupoid(["d", "e"]), pair_groupoid(["f", "g", "h"])
+        )
+    )
+    rng = random.Random(11)
+    cases.extend(random_groupoid(rng, 14, principal=True) for _ in range(6))
+    return cases
+
+
+@pytest.mark.parametrize("designator", ["q", "f2", "f3"])
+def test_socle_closed_form_matches_closure(designator):
+    for g in _closed_form_cases():
+        algebra = SteinbergAlgebra(g, field_from_designator(designator))
+        assert socle(algebra).to_json_obj() == closure_socle(algebra).to_json_obj()
+
+
+def test_socle_checks_matrix_units_against_the_table():
+    g = pair_groupoid(["a", "b", "c"])
+    assert g.compose[("a<b", "b<c")] == "a<c"
+    compose = {**g.compose, ("a<b", "b<c"): "a<b"}
+    corrupted = FiniteGroupoid(g.elements, g.source_of, g.range_of, g.inverse_of, compose)
+    algebra = SteinbergAlgebra(corrupted, Q)
+    with pytest.raises(RuntimeError, match="matrix units fail") as exc_info:
+        socle(algebra)
+    assert not isinstance(exc_info.value, LPViolationError)
+
+
+def test_socle_rejects_two_arrows_between_the_same_units():
+    g = pair_groupoid(["a", "b"])
+    twin = FiniteGroupoid(
+        g.elements + ("a<b'",),
+        {**g.source_of, "a<b'": "b"},
+        {**g.range_of, "a<b'": "a"},
+        {**g.inverse_of, "a<b'": "b<a"},
+        g.compose,
+    )
+    assert check_condition_LP(twin).holds
+    with pytest.raises(RuntimeError, match="both run from"):
+        socle(SteinbergAlgebra(twin, Q))
 
 
 def test_homogeneous_component_direct_sum():
