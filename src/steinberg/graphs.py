@@ -13,6 +13,11 @@ INFINITE when a cycle feeds the sink.  No line points means zero socle; a
 vertex on a cycle contributes nothing because its isotropy is a copy of the
 integers.
 
+Paths into a sink are counted, not listed: a dynamic programme over the
+sink's ancestors in reverse topological order sums exact integers, so a
+chain of diamonds with 2^k paths costs O(V + E).  Paths are enumerated only
+to materialise the groupoid, after the counts have passed the size cap.
+
 For acyclic graphs the boundary-path groupoid is materialised explicitly:
 units are the finite paths ending at sinks and two of them are connected by
 exactly one arrow iff they share their sink, a disjoint union of pair
@@ -21,6 +26,7 @@ groupoids that the groupoid validator then certifies.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .groupoid import FiniteGroupoid, validate
@@ -198,36 +204,72 @@ def line_points(g: DirectedGraph) -> LinePointReport:
             is_line_point=True,
             boundary_path=walk.serialize(),
             failure_reason=None,
-            orbit_size=orbit_size(g, v, _walk=walk, _cycles=cycle_vertices),
+            orbit_size=orbit_size(g, v, _walk=walk),
         )
     return LinePointReport(line_points=tuple(points), per_vertex=statuses)
 
 
-def orbit_size(g: DirectedGraph, v: str, _walk=None, _cycles=None):
+def orbit_size(g: DirectedGraph, v: str, _walk=None):
     """The number of finite paths ending at the sink of v's boundary path,
     the trivial path included; INFINITE when a cycle reaches that sink."""
     if _walk is None:
         reachable = g.reachable_from(v)
         if any(len(g.out_edges(w)) > 1 for w in reachable):
             raise ValueError(f"{v!r} is not a line point (branching future)")
-        cycles = g.vertices_on_cycles() if _cycles is None else _cycles
-        if reachable & cycles:
+        if reachable & g.vertices_on_cycles():
             raise ValueError(f"{v!r} is not a line point (reaches a cycle)")
         _walk = _unique_walk(g, v)
-    sink = _walk.sink
-    cycles = g.vertices_on_cycles() if _cycles is None else _cycles
-    if any(sink in g.reachable_from(c) for c in cycles):
+    return _count_paths_into(g, _walk.sink)
+
+
+def _count_paths_into(g: DirectedGraph, sink: str):
+    """The number of finite paths ending at the sink, the trivial path
+    included, or INFINITE when a cycle reaches the sink.
+
+    paths[v] counts the paths from v to the sink.  It is final once every
+    edge from v into the sink's ancestors has added its target's count, so
+    the ancestors are visited in reverse topological order (Kahn's
+    algorithm on the reversed edges).  A cycle among the ancestors leaves
+    its vertices unvisited.
+    """
+    sources_into: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for _, src, rng in g.edges:
+        sources_into[rng].append(src)
+    ancestors = {sink}
+    frontier = [sink]
+    while frontier:
+        for src in sources_into[frontier.pop()]:
+            if src not in ancestors:
+                ancestors.add(src)
+                frontier.append(src)
+    pending = dict.fromkeys(ancestors, 0)  # edges into ancestors not yet added
+    for _, src, rng in g.edges:
+        if rng in ancestors:
+            pending[src] += 1
+    paths = dict.fromkeys(ancestors, 0)
+    paths[sink] = 1
+    ready = [sink]
+    visited = 0
+    while ready:
+        w = ready.pop()
+        visited += 1
+        for src in sources_into[w]:
+            paths[src] += paths[w]
+            pending[src] -= 1
+            if not pending[src]:
+                ready.append(src)
+    if visited < len(ancestors):
         return INFINITE
-    return sum(1 for _ in _paths_into(g, sink))
+    return sum(paths.values())
 
 
 def _paths_into(g: DirectedGraph, sink: str):
     """All finite paths ending at the given vertex, trivial path first,
     then by length and edge declaration order.  Finite because the search
     is only used when no cycle reaches the vertex."""
-    queue = [BoundaryPath(start=sink, edge_ids=(), sink=sink)]
+    queue = deque([BoundaryPath(start=sink, edge_ids=(), sink=sink)])
     while queue:
-        path = queue.pop(0)
+        path = queue.popleft()
         yield path
         for eid, src, rng in g.edges:
             if rng == path.start:
@@ -308,10 +350,14 @@ def lpa_socle(g: DirectedGraph) -> GraphSocleReport:
 # -- materialisation ----------------------------------------------------------
 
 
-def boundary_paths(g: DirectedGraph) -> list[BoundaryPath]:
-    """All finite paths ending at sinks, ordered by (sink, length, edges)."""
+def _require_acyclic(g: DirectedGraph) -> None:
     if g.vertices_on_cycles():
         raise GraphHasCycleError("the graph has a cycle; boundary paths are not all finite")
+
+
+def boundary_paths(g: DirectedGraph) -> list[BoundaryPath]:
+    """All finite paths ending at sinks, ordered by (sink, length, edges)."""
+    _require_acyclic(g)
     edge_order = {e[0]: i for i, e in enumerate(g.edges)}
     paths = []
     for sink in g.vertices:
@@ -334,15 +380,16 @@ def materialize_boundary_groupoid(g: DirectedGraph) -> FiniteGroupoid:
     one arrow p|q (range p, source q), so every component is the pair
     groupoid of its sink's paths.  The result passes the full validator.
     """
-    paths = boundary_paths(g)
-    by_sink: dict[str, list[BoundaryPath]] = {}
-    for p in paths:
-        by_sink.setdefault(p.sink, []).append(p)
-    total = sum(len(ps) ** 2 for ps in by_sink.values())
+    _require_acyclic(g)
+    total = sum(_count_paths_into(g, v) ** 2 for v in g.vertices if g.is_sink(v))
     if total > MAX_GROUPOID_ELEMENTS:
         raise SizeCapExceeded(
             f"materialised groupoid would have {total} elements, cap is {MAX_GROUPOID_ELEMENTS}"
         )
+    paths = boundary_paths(g)
+    by_sink: dict[str, list[BoundaryPath]] = {}
+    for p in paths:
+        by_sink.setdefault(p.sink, []).append(p)
 
     def arrow(p: BoundaryPath, q: BoundaryPath) -> str:
         if p == q:

@@ -9,9 +9,14 @@ multiplication.  Semiprimeness is likewise decided by exhaustively searching
 for an absolute zero divisor, i.e. a nonzero a with a * 1_g * a = 0 for
 every g.
 
-Everything runs on integer numpy arrays mod p, processed in enumeration
-order in bounded chunks; chunking does not affect any result.  The engine
-(socle module) deliberately shares no linear algebra with this module.
+Everything runs on numpy arrays, processed in enumeration order in bounded
+chunks; chunking does not affect any result.  The products 1_g * a of a
+chunk come from one gather through a precomputed index table.  Row
+reduction delays reduction mod p: entries live in the narrowest unsigned
+type that holds every sum a reduction accumulates between its reductions
+mod p, and only pivot columns and pivot rows are reduced along the way.
+The engine (socle module) deliberately shares no linear algebra with this
+module.
 """
 
 from __future__ import annotations
@@ -32,10 +37,23 @@ def _require_prime_field(algebra: SteinbergAlgebra) -> int:
     return algebra.field.p
 
 
-def _action_arrays(algebra: SteinbergAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    left = np.array(algebra.left_action_table, dtype=np.int64)
-    right = np.array(algebra.right_action_table, dtype=np.int64)
-    return left, right
+def _gather_tables(algebra: SteinbergAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables of the left products 1_g * a and the right products a * 1_g.
+
+    Translation by a fixed g is injective where defined, so each coordinate
+    k of a product comes from at most one coordinate j of a; entry [g, k]
+    is that j, or n (a zero column) when nothing lands on k.
+    """
+    n = algebra.dim
+
+    def gather(action_table: list[list[int]]) -> np.ndarray:
+        targets = np.array(action_table, dtype=np.intp)
+        table = np.full(targets.shape, n, dtype=np.intp)
+        g, j = np.nonzero(targets >= 0)
+        table[g, targets[g, j]] = j
+        return table
+
+    return gather(algebra.left_action_table), gather(algebra.right_action_table)
 
 
 def _composable_triples(algebra: SteinbergAlgebra) -> list[tuple[int, int, int]]:
@@ -94,66 +112,102 @@ def _hash_vector(length: int) -> np.ndarray:
     return out
 
 
+def _accumulator_dtype(p: int, cols: int) -> type:
+    """The narrowest unsigned type holding (p - 1) + cols * (p - 1)**2.
+
+    An entry starts reduced and gains at most one product of two reduced
+    values per column step, so that bound is never passed between the
+    reductions _batched_rref does make.
+    """
+    bound = (p - 1) + cols * (p - 1) ** 2
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise OverflowError(f"GF({p}) row reduction of width {cols} overflows 64 bits")
+
+
+def _inverses_mod(values: np.ndarray, p: int) -> np.ndarray:
+    """values ** (p - 2) mod p elementwise, the inverses of nonzero reduced
+    values, by square and multiply in their own type, which must hold
+    (p - 1)**2.  A table of all p inverses would cost O(p) per call."""
+    result = np.ones_like(values)
+    base = values.copy()
+    exponent = p - 2
+    while exponent:
+        if exponent & 1:
+            result = result * base % p
+        base = base * base % p
+        exponent >>= 1
+    return result
+
+
 def _batched_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of a stack of matrices over GF(p).
 
     Returns (ranks, reduced) where reduced[i] holds the canonical echelon
-    rows of mats[i] on top and zero rows below.  Pivoting is leftmost column
-    first, then smallest row index, matching the engine's convention.
+    rows of mats[i] on top and zero rows below, as int64.  The echelon form
+    is unique, so it does not depend on which eligible row becomes a pivot.
+
+    Reduction mod p is delayed.  Each column step reduces only the pivot
+    column and the pivot row, then adds (p - factor) * pivot_row to every
+    other row without reducing; one np.mod at the end finishes the job.
+    Pivot rows stay where they are and are gathered into echelon order at
+    the end.  A matrix with no pivot in a column eliminates with a zero
+    pivot row, which changes nothing.
     """
-    mats = np.mod(mats, p)
     count, rows, cols = mats.shape
-    inverses = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        inverses[v] = pow(v, p - 2, p)
-    rank = np.zeros(count, dtype=np.int64)
-    row_index = np.arange(rows, dtype=np.int64)
+    dtype = _accumulator_dtype(p, cols)
+    # work[r, c, i] is entry (r, c) of matrix i: the stack index varies
+    # fastest, so every step runs long vector loops across the stack.
+    work = np.empty((rows, cols, count), dtype=dtype)
+    np.remainder(mats.transpose(1, 2, 0), p, out=work, casting="unsafe")
+    free = np.ones((rows, count), dtype=bool)
+    pivot_col = np.full((rows, count), cols, dtype=np.intp)
+    row_index = np.arange(rows)[:, None]
+    stack = np.arange(count)
+    lanes = np.arange(cols)[:, None] * count
     for col in range(cols):
-        column = mats[:, :, col]
-        eligible = (column != 0) & (row_index[None, :] >= rank[:, None])
-        found = eligible.any(axis=1)
+        column = work[:, col]
+        np.remainder(column, p, out=column)
+        nonzero = column != 0
+        first = np.where(nonzero & free, row_index, rows).min(axis=0, initial=rows)
+        found = first < rows
         if not found.any():
             continue
-        sel = np.nonzero(found)[0]
-        k = len(sel)
-        pivot_rows = eligible[sel].argmax(axis=1)
-        dest_rows = rank[sel]
-        ar = np.arange(k)
-        sub = mats[sel]
-        swap_a = sub[ar, dest_rows].copy()
-        sub[ar, dest_rows] = sub[ar, pivot_rows]
-        sub[ar, pivot_rows] = swap_a
-        pivot_values = sub[ar, dest_rows, col]
-        sub[ar, dest_rows] = (sub[ar, dest_rows] * inverses[pivot_values][:, None]) % p
-        factors = sub[:, :, col].copy()
-        factors[ar, dest_rows] = 0
-        sub = (sub - factors[:, :, None] * sub[ar, dest_rows][:, None, :]) % p
-        mats[sel] = sub
-        rank[sel] += 1
-    return rank, mats
+        src = np.where(found, first, 0)
+        pivot = work.ravel()[(src * (cols * count) + stack) + lanes[col:]]
+        np.remainder(pivot, p, out=pivot)
+        pivot *= _inverses_mod(pivot[0], p) * found
+        np.remainder(pivot, p, out=pivot)
+        # The pivot row holds pivot_value * pivot, so its factor is
+        # (1 - pivot_value) rather than -pivot_value.
+        factors = (p - column) * nonzero
+        factors[src, stack] = (factors[src, stack] + 1) % p
+        # Columns left of col are zero in the reduced pivot row.
+        work[:, col:] += factors[:, None, :] * pivot[None, :, :]
+        free[src[found], stack[found]] = False
+        pivot_col[src[found], stack[found]] = col
+    np.remainder(work, p, out=work)
+    # Pivot rows by pivot column on top; the rows left free are zero mod p.
+    order = np.argsort(pivot_col, axis=0, kind="stable")
+    reduced = np.empty((count, rows, cols), dtype=np.int64)
+    reduced[...] = work.transpose(2, 0, 1)[stack[:, None], order.T]
+    return rows - free.sum(axis=0), reduced
 
 
-def _left_products(chunk: np.ndarray, left: np.ndarray, p: int) -> np.ndarray:
-    """stack[i, g, :] is the coefficient vector of 1_g * a_i."""
+def _products(chunk: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """stack[i, g, :] is the coefficient vector of 1_g * a_i, or of a_i * 1_g
+    when table is the right one of the _gather_tables.
+
+    table[g, k] is the coordinate of a_i that lands on coordinate k, or n
+    for the zero column appended to the chunk.  Entries are reduced mod p,
+    in the narrowest unsigned type that holds p - 1, and the stack is
+    C-contiguous.
+    """
     count, n = chunk.shape
-    n_g = left.shape[0]
-    stack = np.zeros((count, n_g, n), dtype=np.int64)
-    for g in range(n_g):
-        targets = left[g]
-        defined = targets >= 0
-        stack[:, g, targets[defined]] = chunk[:, defined]
-    return np.mod(stack, p)
-
-
-def _right_products(chunk: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
-    count, n = chunk.shape
-    n_g = right.shape[0]
-    stack = np.zeros((count, n_g, n), dtype=np.int64)
-    for g in range(n_g):
-        targets = right[g]
-        defined = targets >= 0
-        stack[:, g, targets[defined]] = chunk[:, defined]
-    return np.mod(stack, p)
+    padded = np.zeros((count, n + 1), dtype=np.min_scalar_type(p - 1))
+    np.remainder(chunk, p, out=padded[:, :n], casting="unsafe")
+    return np.take(padded, table, axis=1)
 
 
 def _reduce_mod_basis(vec: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
@@ -244,8 +298,8 @@ def oracle_minimal_ideals(
     and independent of chunk sizes.
     """
     p = _require_prime_field(algebra)
-    left, _ = _action_arrays(algebra)
-    ideals = _enumerate_ideals(algebra, lambda c: _left_products(c, left, p), max_enum)
+    left, _ = _gather_tables(algebra)
+    ideals = _enumerate_ideals(algebra, lambda c: _products(c, left, p), max_enum)
     return [
         _ideal_from_rows(algebra, rows, gen)
         for _, rows, gen in _minimal_among(ideals, p)
@@ -277,10 +331,10 @@ def oracle_socle(
     if minimal is None:
         minimal = oracle_minimal_ideals(algebra, max_enum)
     rows = _socle_rows(algebra, minimal, p)
-    left, right = _action_arrays(algebra)
+    left, right = _gather_tables(algebra)
     if rows.shape[0]:
-        left_images = _left_products(rows, left, p).reshape(-1, algebra.dim)
-        right_images = _right_products(rows, right, p).reshape(-1, algebra.dim)
+        left_images = _products(rows, left, p).reshape(-1, algebra.dim)
+        right_images = _products(rows, right, p).reshape(-1, algebra.dim)
         for image in np.concatenate([left_images, right_images]):
             if _reduce_mod_basis(image, rows, p).any():
                 raise RuntimeError("socle failed the two-sided closure check")
@@ -299,8 +353,8 @@ def oracle_minimal_right_ideals(
 ) -> list[LeftIdeal]:
     """Mirror enumeration for right ideals a A (rows are the products a * 1_g)."""
     p = _require_prime_field(algebra)
-    _, right = _action_arrays(algebra)
-    ideals = _enumerate_ideals(algebra, lambda c: _right_products(c, right, p), max_enum)
+    _, right = _gather_tables(algebra)
+    ideals = _enumerate_ideals(algebra, lambda c: _products(c, right, p), max_enum)
     return [
         _ideal_from_rows(algebra, rows, gen, two_sided=False)
         for _, rows, gen in _minimal_among(ideals, p)
@@ -342,7 +396,7 @@ def oracle_is_semiprime(
     p = _require_prime_field(algebra)
     n = algebra.dim
     total = check_enum_size(p, n, max_enum)
-    _, right = _action_arrays(algebra)
+    _, right = _gather_tables(algebra)
     triples = _composable_triples(algebra)
     n_g = right.shape[0]
     for chunk in _vector_chunks(p, n, total, _chunk_rows_for(n)):
@@ -351,10 +405,7 @@ def oracle_is_semiprime(
         for g in range(n_g):
             if not candidates.any():
                 break
-            targets = right[g]
-            defined = targets >= 0
-            shifted = np.zeros_like(chunk)  # a * 1_g
-            shifted[:, targets[defined]] = chunk[:, defined]
+            shifted = _products(chunk, right[g : g + 1], p)[:, 0]  # a * 1_g
             conv = np.zeros_like(chunk)  # (a * 1_g) * a
             for i, j, k in triples:
                 conv[:, k] += shifted[:, i] * chunk[:, j]

@@ -240,6 +240,17 @@ def test_graph_socle_materialize_rejects_cycles(run, files):
     assert code == 64
 
 
+def test_graph_socle_materialize_refuses_oversized_graphs(run, tmp_path, time_limit, diamond_chain):
+    vertices, edges = diamond_chain(30)
+    path = tmp_path / "diamond30.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": [list(e) for e in edges]}))
+    with time_limit(5):
+        code, out, err = run("graph-socle", str(path), "--materialize", "--field", "q")
+    assert code == 65
+    assert out == ""
+    assert "cap" in err
+
+
 def test_cross_check_mismatch_exits_70(run, files, monkeypatch):
     # force the symbolic route to claim a wrong block size
     real = lpa_socle

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,8 @@ from steinberg.fields import Rationals
 from steinberg.graphs import (
     INFINITE,
     GraphHasCycleError,
+    _count_paths_into,
+    _paths_into,
     boundary_paths,
     from_json_obj,
     line_points,
@@ -105,6 +108,35 @@ def test_orbit_size_validates_line_points():
     assert orbit_size(line_graph(4), "v2") == 4
 
 
+def test_orbit_size_counts_exponentially_many_paths(time_limit, diamond_chain):
+    g = make_graph(*diamond_chain(60))
+    with time_limit(5):
+        report = lpa_socle(g)
+    assert [(b.class_representative, b.size) for b in report.blocks] == [("v60", 2**62 - 3)]
+
+
+def test_path_counts_match_enumeration_on_random_graphs():
+    rng = random.Random(41)
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        vertices = [f"v{i}" for i in range(n)]
+        edges = []
+        for j in range(rng.randint(0, 14)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if trial % 2:  # acyclic: edges only go up
+                if a == b:
+                    continue
+                a, b = min(a, b), max(a, b)
+            edges.append((f"e{j}", vertices[a], vertices[b]))
+        g = make_graph(vertices, edges)
+        cycles = g.vertices_on_cycles()
+        for sink in filter(g.is_sink, vertices):
+            if any(sink in g.reachable_from(c) for c in cycles):
+                assert _count_paths_into(g, sink) is INFINITE
+            else:
+                assert _count_paths_into(g, sink) == sum(1 for _ in _paths_into(g, sink))
+
+
 def test_boundary_paths_order_and_serialization():
     paths = boundary_paths(line_graph(3))
     assert [p.serialize() for p in paths] == ["v3", "e2", "e1.e2"]
@@ -146,6 +178,11 @@ def test_materialized_forest_splits_by_sink():
 def test_materialize_rejects_cycles():
     with pytest.raises(GraphHasCycleError):
         materialize_boundary_groupoid(loop_graph())
+    # the cycle is reported even when the paths would also exceed the cap
+    vertices = [f"v{i}" for i in range(23)] + ["s", "c"]
+    edges = [(f"e{i}", f"v{i}", "s") for i in range(23)] + [("loop", "c", "c")]
+    with pytest.raises(GraphHasCycleError):
+        materialize_boundary_groupoid(make_graph(vertices, edges))
 
 
 def test_materialize_respects_size_cap():

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from steinberg import oracle
 from steinberg.algebra import SteinbergAlgebra, element_to_obj
 from steinberg.builders import (
     cyclic_group,
@@ -15,6 +17,10 @@ from steinberg.fields import PrimeField, Rationals
 from steinberg.limits import SizeCapExceeded
 from steinberg.linalg import rref, same_subspace
 from steinberg.oracle import (
+    _accumulator_dtype,
+    _batched_rref,
+    _gather_tables,
+    _products,
     oracle_is_semiprime,
     oracle_minimal_ideals,
     oracle_minimal_right_ideals,
@@ -180,3 +186,105 @@ def test_socle_generators_regenerate_their_ideals():
     for ideal in ideals:
         rebuilt = left_ideal(algebra, [ideal.generators[0]])
         assert rebuilt.same_subspace(ideal)
+
+
+def _rank_deficient(gen, p, rows, cols):
+    inner = max(1, min(rows, cols) // 2)
+    return gen.integers(0, p, size=(rows, inner)) @ gen.integers(0, p, size=(inner, cols))
+
+
+@pytest.mark.parametrize(
+    "p, rows, cols, dtype",
+    [
+        (2, 9, 16, np.uint8),
+        (2, 3, 300, np.uint16),
+        (3, 8, 8, np.uint8),
+        (3, 4, 70, np.uint16),
+        (5, 6, 9, np.uint8),
+        (7, 9, 8, np.uint16),
+        (17, 6, 6, np.uint16),
+        (257, 5, 4, np.uint32),
+    ],
+)
+def test_batched_rref_matches_the_reference_echelon_form(p, rows, cols, dtype):
+    assert _accumulator_dtype(p, cols) is dtype
+    gen = np.random.default_rng(p * 1000 + cols)
+    # entries outside [0, p) check that the input is reduced first
+    mats = gen.integers(-2 * p, 2 * p, size=(12, rows, cols))
+    mats[0] = 0
+    mats[1] = _rank_deficient(gen, p, rows, cols)
+    mats[2, :, : cols // 2] = 0
+    mats[3, rows // 2 :] = mats[3, : rows - rows // 2] * 3
+    ranks, reduced = _batched_rref(mats, p)
+    assert reduced.dtype == np.int64 and ranks.dtype == np.int64
+    field = PrimeField(p)
+    for i, mat in enumerate(mats):
+        expected = rref(field, mat.tolist(), cols).canonical()
+        assert ranks[i] == len(expected)
+        assert reduced[i, : ranks[i]].tolist() == [list(row) for row in expected]
+        assert not reduced[i, ranks[i] :].any()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_batched_rref_stays_exact_at_the_widest_narrow_type(p):
+    # The widest stack that still reduces in uint8, and a matrix whose last
+    # row gains (p - 1)**2 at column m + 1 on every one of m steps before it
+    # becomes the pivot row of column m.
+    cols = (255 - (p - 1)) // (p - 1) ** 2
+    assert _accumulator_dtype(p, cols) is np.uint8
+    m = cols - 2
+    mat = np.zeros((m + 1, cols), dtype=np.int64)
+    mat[np.arange(m), np.arange(m)] = 1
+    mat[:m, m + 1] = p - 1
+    mat[m, : m + 1] = 1
+    mat[m, m] = p - 1
+    ranks, reduced = _batched_rref(mat[None], p)
+    expected = rref(PrimeField(p), mat.tolist(), cols).canonical()
+    assert reduced[0, : ranks[0]].tolist() == [list(row) for row in expected]
+
+
+def test_large_primes_cost_no_table_of_inverses(time_limit):
+    algebra = SteinbergAlgebra(trivial_groupoid("x"), PrimeField(1048573))
+    with time_limit(2):
+        assert oracle_socle(algebra).dimension == 1
+
+
+def test_products_match_the_action_tables():
+    rng = random.Random(43)
+    gen = np.random.default_rng(43)
+    for _ in range(6):
+        g = random_groupoid(rng, 10)
+        for p in (2, 5):
+            algebra = SteinbergAlgebra(g, PrimeField(p))
+            chunk = gen.integers(0, p, size=(7, algebra.dim))
+            left, right = _gather_tables(algebra)
+            for table, action in ((left, algebra.left_action), (right, algebra.right_action)):
+                stack = _products(chunk, table, p)
+                assert stack.flags.c_contiguous
+                assert stack.shape == (7, algebra.dim, algebra.dim)
+                for i, vec in enumerate(chunk.tolist()):
+                    for g_index in range(algebra.dim):
+                        assert stack[i, g_index].tolist() == action(g_index, vec)
+
+
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    def summary(algebra):
+        witness = oracle_is_semiprime(algebra).witness
+        return (
+            [
+                ([element_to_obj(b) for b in ideal.basis], element_to_obj(ideal.generators[0]))
+                for ideal in oracle_minimal_ideals(algebra)
+            ],
+            None if witness is None else element_to_obj(witness),
+        )
+
+    algebras = [
+        SteinbergAlgebra(pair_groupoid(["a", "b", "c"]), PrimeField(2)),
+        SteinbergAlgebra(
+            disjoint_union(pair_groupoid(["a", "b"]), trivial_groupoid("z")), PrimeField(3)
+        ),
+        SteinbergAlgebra(one_object_groupoid(cyclic_group(3)), PrimeField(3)),
+    ]
+    whole = [summary(algebra) for algebra in algebras]
+    monkeypatch.setattr(oracle, "_chunk_rows_for", lambda n: 3)
+    assert [summary(algebra) for algebra in algebras] == whole

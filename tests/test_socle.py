@@ -1,6 +1,4 @@
 import random
-import signal
-from contextlib import contextmanager
 
 import pytest
 
@@ -37,22 +35,6 @@ from steinberg.socle import (
 )
 
 Q = Rationals()
-
-
-@contextmanager
-def time_limit(seconds: float):
-    """Fail with TimeoutError instead of hanging past the limit."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_left_ideal_of_unit_indicator_has_arrow_count_dimension():
@@ -230,7 +212,7 @@ def test_minimality_dimension_cap_over_rationals():
         is_minimal_left_ideal(ideal, cert)
 
 
-def test_minimality_shadow_prime_scan_stops_at_the_cap():
+def test_minimality_shadow_prime_scan_stops_at_the_cap(time_limit):
     # |G| = 144: GF(2) and GF(3) divide it and 5^12 is over the cap
     g = pair_groupoid([f"p{i}" for i in range(12)])
     algebra = SteinbergAlgebra(g, Q)
