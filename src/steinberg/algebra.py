@@ -115,55 +115,47 @@ class SteinbergAlgebra:
             {g: c for g, c in zip(self.groupoid.elements, vec) if not f.is_zero(c)},
         )
 
-    @cached_property
-    def left_action_table(self) -> list[list[int]]:
-        """left_action_table[g][j] = index of g * element_j, or -1."""
+    def _translation_table(self, left: bool) -> list[list[int]]:
+        """Row g, column j: the index of g * element_j (left) or of
+        element_j * g (right), or -1 where the product is undefined."""
         gpd = self.groupoid
-        n = self.dim
         table = []
-        for a in gpd.elements:
-            row = [-1] * n
+        for g in gpd.elements:
+            row = [-1] * self.dim
             for j, b in enumerate(gpd.elements):
-                c = gpd.compose.get((a, b))
+                c = gpd.compose.get((g, b) if left else (b, g))
                 if c is not None:
                     row[j] = gpd.index[c]
             table.append(row)
         return table
+
+    @cached_property
+    def left_action_table(self) -> list[list[int]]:
+        """left_action_table[g][j] = index of g * element_j, or -1."""
+        return self._translation_table(left=True)
 
     @cached_property
     def right_action_table(self) -> list[list[int]]:
         """right_action_table[g][j] = index of element_j * g, or -1."""
-        gpd = self.groupoid
-        n = self.dim
-        table = []
-        for b in gpd.elements:
-            row = [-1] * n
-            for j, a in enumerate(gpd.elements):
-                c = gpd.compose.get((a, b))
-                if c is not None:
-                    row[j] = gpd.index[c]
-            table.append(row)
-        return table
+        return self._translation_table(left=False)
+
+    def _translate(self, row: list[int], vec: list) -> list:
+        """Translation by a fixed g is injective where defined, so the
+        product is a partial repositioning of the coordinates of vec."""
+        out = [self.field.zero] * self.dim
+        for j, c in enumerate(vec):
+            k = row[j]
+            if k >= 0 and not self.field.is_zero(c):
+                out[k] = c
+        return out
 
     def left_action(self, g_index: int, vec: list) -> list:
-        """The vector of 1_g * f.  Left translation by a fixed g is injective
-        where defined, so this is a partial repositioning of coordinates."""
-        out = [self.field.zero] * self.dim
-        row = self.left_action_table[g_index]
-        for j, c in enumerate(vec):
-            k = row[j]
-            if k >= 0 and not self.field.is_zero(c):
-                out[k] = c
-        return out
+        """The vector of 1_g * f."""
+        return self._translate(self.left_action_table[g_index], vec)
 
     def right_action(self, g_index: int, vec: list) -> list:
-        out = [self.field.zero] * self.dim
-        row = self.right_action_table[g_index]
-        for j, c in enumerate(vec):
-            k = row[j]
-            if k >= 0 and not self.field.is_zero(c):
-                out[k] = c
-        return out
+        """The vector of f * 1_g."""
+        return self._translate(self.right_action_table[g_index], vec)
 
 
 class AlgebraElement:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groupoid import FiniteGroupoid, validate
 from .limits import MAX_GROUPOID_ELEMENTS, SizeCapExceeded
@@ -58,14 +59,22 @@ class DirectedGraph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]
 
-    def out_edges(self, v: str) -> list[tuple[str, str, str]]:
-        return [e for e in self.edges if e[1] == v]
+    @cached_property
+    def _out_edges(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
+        """Each vertex's out-edges in declaration order, built once."""
+        lists: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            lists[e[1]].append(e)
+        return {v: tuple(es) for v, es in lists.items()}
+
+    def out_edges(self, v: str) -> tuple[tuple[str, str, str], ...]:
+        return self._out_edges.get(v, ())
 
     def is_sink(self, v: str) -> bool:
         return not self.out_edges(v)
 
     def successors(self, v: str) -> list[str]:
-        return [e[2] for e in self.edges if e[1] == v]
+        return [e[2] for e in self.out_edges(v)]
 
     def reachable_from(self, v: str) -> set[str]:
         seen = {v}
@@ -175,6 +184,7 @@ def line_points(g: DirectedGraph) -> LinePointReport:
     cycle_vertices = g.vertices_on_cycles()
     statuses = {}
     points = []
+    sizes = {}  # orbit size by sink, counted once per sink
     for v in g.vertices:
         reachable = g.reachable_from(v)
         branching = sorted(w for w in reachable if len(g.out_edges(w)) > 1)
@@ -198,28 +208,36 @@ def line_points(g: DirectedGraph) -> LinePointReport:
             )
             continue
         walk = _unique_walk(g, v)
+        if walk.sink not in sizes:
+            sizes[walk.sink] = orbit_size(g, v)
         points.append(v)
         statuses[v] = VertexStatus(
             vertex=v,
             is_line_point=True,
             boundary_path=walk.serialize(),
             failure_reason=None,
-            orbit_size=orbit_size(g, v, _walk=walk),
+            orbit_size=sizes[walk.sink],
         )
     return LinePointReport(line_points=tuple(points), per_vertex=statuses)
 
 
-def orbit_size(g: DirectedGraph, v: str, _walk=None):
+def orbit_size(g: DirectedGraph, v: str):
     """The number of finite paths ending at the sink of v's boundary path,
-    the trivial path included; INFINITE when a cycle reaches that sink."""
-    if _walk is None:
-        reachable = g.reachable_from(v)
-        if any(len(g.out_edges(w)) > 1 for w in reachable):
+    the trivial path included; INFINITE when a cycle reaches that sink.
+
+    While no vertex on the walk from v emits two edges, the walk is all that
+    v reaches, so v reaches a cycle exactly when the walk revisits a vertex.
+    """
+    walked = set()
+    w = v
+    while outs := g.out_edges(w):
+        if len(outs) > 1:
             raise ValueError(f"{v!r} is not a line point (branching future)")
-        if reachable & g.vertices_on_cycles():
+        walked.add(w)
+        w = outs[0][2]
+        if w in walked:
             raise ValueError(f"{v!r} is not a line point (reaches a cycle)")
-        _walk = _unique_walk(g, v)
-    return _count_paths_into(g, _walk.sink)
+    return _count_paths_into(g, w)
 
 
 def _count_paths_into(g: DirectedGraph, sink: str):

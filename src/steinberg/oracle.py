@@ -4,10 +4,11 @@ The oracle never reasons about isotropy or orbits.  It enumerates every
 nonzero element a of the algebra (subject to the q^dim cap), computes the
 left ideal A a as the row space of all products 1_g * a (local units put a
 itself in that span), keeps the ideals that are minimal under inclusion and
-sums them into the socle, which is then verified to be closed under right
-multiplication.  Semiprimeness is likewise decided by exhaustively searching
-for an absolute zero divisor, i.e. a nonzero a with a * 1_g * a = 0 for
-every g.
+sums them into the socle.  Right ideals a A run through the same
+enumeration with the products a * 1_g.  Either socle is verified to be
+closed under multiplication on both sides.  Semiprimeness is likewise
+decided by exhaustively searching for an absolute zero divisor, i.e. a
+nonzero a with a * 1_g * a = 0 for every g.
 
 Everything runs on numpy arrays, processed in enumeration order in bounded
 chunks; chunking does not affect any result.  The products 1_g * a of a
@@ -65,21 +66,22 @@ def _composable_triples(algebra: SteinbergAlgebra) -> list[tuple[int, int, int]]
     ]
 
 
-def _vector_chunks(q: int, n: int, total: int, chunk_rows: int):
-    """All nonzero coefficient vectors in lexicographic order by canonical
-    basis order (first coordinate most significant), yielded in chunks."""
+def _chunks(q: int, n: int, ranges, chunk_rows: int):
+    """The coefficient vectors of the integers in each range [start, stop),
+    as base-q digits with the first coordinate (canonical basis order) most
+    significant, yielded in chunks of at most chunk_rows."""
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    start = 1
-    while start < total:
-        stop = min(start + chunk_rows, total)
-        indices = np.arange(start, stop, dtype=np.int64)
-        yield (indices[:, None] // powers[None, :]) % q
-        start = stop
+    for start, stop in ranges:
+        while start < stop:
+            upper = min(start + chunk_rows, stop)
+            indices = np.arange(start, upper, dtype=np.int64)
+            yield (indices[:, None] // powers[None, :]) % q
+            start = upper
 
 
-def _line_chunks(q: int, n: int, chunk_rows: int):
-    """One coefficient vector per scalar line, in the order induced by the
-    full enumeration of _vector_chunks.
+def _line_ranges(q: int, n: int) -> list[tuple[int, int]]:
+    """One coefficient vector per scalar line, in the order of the full
+    enumeration [1, q**n).
 
     Scaling a vector by a nonzero constant never changes the cyclic ideal it
     generates, so it suffices to visit the vectors whose leading nonzero
@@ -88,15 +90,7 @@ def _line_chunks(q: int, n: int, chunk_rows: int):
     the leading digit to 1 can only shrink the integer value), so the first
     recorded generator per ideal is the same as under full enumeration.
     """
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for m in range(n):
-        start = q**m
-        stop = 2 * start
-        while start < stop:
-            upper = min(start + chunk_rows, stop)
-            indices = np.arange(start, upper, dtype=np.int64)
-            yield (indices[:, None] // powers[None, :]) % q
-            start = upper
+    return [(q**m, 2 * q**m) for m in range(n)]
 
 
 def _chunk_rows_for(n: int) -> int:
@@ -237,7 +231,7 @@ def _enumerate_ideals(
     check_enum_size(p, n, max_enum)
     hash_vec = _hash_vector(algebra.dim * n)
     seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    for chunk in _line_chunks(p, n, _chunk_rows_for(n)):
+    for chunk in _chunks(p, n, _line_ranges(p, n), _chunk_rows_for(n)):
         stacks = products(chunk)
         ranks, reduced = _batched_rref(stacks, p)
         # Zero rows pad every reduced matrix, so whole-matrix bytes are a
@@ -274,47 +268,78 @@ def _minimal_among(
     return survivors
 
 
+def _element(algebra: SteinbergAlgebra, vec: np.ndarray) -> AlgebraElement:
+    return algebra.from_vector([int(c) for c in vec])
+
+
 def _ideal_from_rows(
-    algebra: SteinbergAlgebra, rows: np.ndarray, generator: np.ndarray, two_sided=False
+    algebra: SteinbergAlgebra,
+    rows: np.ndarray,
+    generators: tuple[AlgebraElement, ...],
+    two_sided: bool,
 ) -> LeftIdeal:
-    basis = tuple(algebra.from_vector([int(c) for c in row]) for row in rows)
-    gen = algebra.from_vector([int(c) for c in generator])
     return LeftIdeal(
         algebra=algebra,
-        generators=(gen,),
-        basis=basis,
-        dimension=len(basis),
+        generators=generators,
+        basis=tuple(_element(algebra, row) for row in rows),
+        dimension=int(rows.shape[0]),
         two_sided=two_sided,
     )
 
 
-def oracle_minimal_ideals(
-    algebra: SteinbergAlgebra, max_enum: int | None = None
+def _minimal_ideals(
+    algebra: SteinbergAlgebra, side: str, max_enum: int | None
 ) -> list[LeftIdeal]:
-    """Every minimal left ideal, by full enumeration of cyclic left ideals.
+    """Every minimal left ideal A a (side "left", rows 1_g * a) or right
+    ideal a A (side "right", rows a * 1_g), by full enumeration of the
+    cyclic ones.
 
     Each returned ideal records the first enumerated generator; the list is
     sorted by dimension and then by canonical basis, so it is deterministic
     and independent of chunk sizes.
     """
     p = _require_prime_field(algebra)
-    left, _ = _gather_tables(algebra)
-    ideals = _enumerate_ideals(algebra, lambda c: _products(c, left, p), max_enum)
+    left, right = _gather_tables(algebra)
+    table = left if side == "left" else right
+    ideals = _enumerate_ideals(algebra, lambda c: _products(c, table, p), max_enum)
     return [
-        _ideal_from_rows(algebra, rows, gen)
+        _ideal_from_rows(algebra, rows, (_element(algebra, gen),), two_sided=False)
         for _, rows, gen in _minimal_among(ideals, p)
     ]
 
 
-def _socle_rows(algebra: SteinbergAlgebra, ideals: list[LeftIdeal], p: int) -> np.ndarray:
-    if not ideals:
-        return np.zeros((0, algebra.dim), dtype=np.int64)
-    stacked = np.array(
-        [[int(c) for c in b.to_vector()] for ideal in ideals for b in ideal.basis],
-        dtype=np.int64,
-    )
-    ranks, reduced = _batched_rref(stacked[None, :, :], p)
-    return reduced[0, : ranks[0]]
+def _socle(algebra: SteinbergAlgebra, minimal: list[LeftIdeal]) -> LeftIdeal:
+    """The sum of the given minimal ideals, verified to be closed under
+    multiplication on both sides: a socle of either side is two-sided."""
+    p = _require_prime_field(algebra)
+    rows = np.zeros((0, algebra.dim), dtype=np.int64)
+    if minimal:
+        stacked = np.array(
+            [[int(c) for c in b.to_vector()] for ideal in minimal for b in ideal.basis],
+            dtype=np.int64,
+        )
+        ranks, reduced = _batched_rref(stacked[None, :, :], p)
+        rows = reduced[0, : ranks[0]]
+    for table in _gather_tables(algebra):
+        for image in _products(rows, table, p).reshape(-1, algebra.dim):
+            if _reduce_mod_basis(image, rows, p).any():
+                raise RuntimeError("socle failed the two-sided closure check")
+    generators = tuple(i.generators[0] for i in minimal)
+    return _ideal_from_rows(algebra, rows, generators, two_sided=True)
+
+
+def oracle_minimal_ideals(
+    algebra: SteinbergAlgebra, max_enum: int | None = None
+) -> list[LeftIdeal]:
+    """Every minimal left ideal, by full enumeration of cyclic left ideals."""
+    return _minimal_ideals(algebra, "left", max_enum)
+
+
+def oracle_minimal_right_ideals(
+    algebra: SteinbergAlgebra, max_enum: int | None = None
+) -> list[LeftIdeal]:
+    """Every minimal right ideal, the mirror enumeration of a A."""
+    return _minimal_ideals(algebra, "right", max_enum)
 
 
 def oracle_socle(
@@ -327,38 +352,9 @@ def oracle_socle(
     Pass minimal= to reuse an oracle_minimal_ideals result instead of
     enumerating a second time.
     """
-    p = _require_prime_field(algebra)
     if minimal is None:
         minimal = oracle_minimal_ideals(algebra, max_enum)
-    rows = _socle_rows(algebra, minimal, p)
-    left, right = _gather_tables(algebra)
-    if rows.shape[0]:
-        left_images = _products(rows, left, p).reshape(-1, algebra.dim)
-        right_images = _products(rows, right, p).reshape(-1, algebra.dim)
-        for image in np.concatenate([left_images, right_images]):
-            if _reduce_mod_basis(image, rows, p).any():
-                raise RuntimeError("socle failed the two-sided closure check")
-    ideal = LeftIdeal(
-        algebra=algebra,
-        generators=tuple(i.generators[0] for i in minimal),
-        basis=tuple(algebra.from_vector([int(c) for c in row]) for row in rows),
-        dimension=int(rows.shape[0]),
-        two_sided=True,
-    )
-    return ideal
-
-
-def oracle_minimal_right_ideals(
-    algebra: SteinbergAlgebra, max_enum: int | None = None
-) -> list[LeftIdeal]:
-    """Mirror enumeration for right ideals a A (rows are the products a * 1_g)."""
-    p = _require_prime_field(algebra)
-    _, right = _gather_tables(algebra)
-    ideals = _enumerate_ideals(algebra, lambda c: _products(c, right, p), max_enum)
-    return [
-        _ideal_from_rows(algebra, rows, gen, two_sided=False)
-        for _, rows, gen in _minimal_among(ideals, p)
-    ]
+    return _socle(algebra, minimal)
 
 
 def oracle_right_socle(
@@ -366,17 +362,10 @@ def oracle_right_socle(
     max_enum: int | None = None,
     minimal: list[LeftIdeal] | None = None,
 ) -> LeftIdeal:
-    p = _require_prime_field(algebra)
+    """The sum of all minimal right ideals, verified two-sided."""
     if minimal is None:
         minimal = oracle_minimal_right_ideals(algebra, max_enum)
-    rows = _socle_rows(algebra, minimal, p)
-    return LeftIdeal(
-        algebra=algebra,
-        generators=tuple(i.generators[0] for i in minimal),
-        basis=tuple(algebra.from_vector([int(c) for c in row]) for row in rows),
-        dimension=int(rows.shape[0]),
-        two_sided=True,
-    )
+    return _socle(algebra, minimal)
 
 
 @dataclass
@@ -399,7 +388,7 @@ def oracle_is_semiprime(
     _, right = _gather_tables(algebra)
     triples = _composable_triples(algebra)
     n_g = right.shape[0]
-    for chunk in _vector_chunks(p, n, total, _chunk_rows_for(n)):
+    for chunk in _chunks(p, n, [(1, total)], _chunk_rows_for(n)):
         count = chunk.shape[0]
         candidates = np.ones(count, dtype=bool)
         for g in range(n_g):
@@ -413,6 +402,6 @@ def oracle_is_semiprime(
             candidates &= ~conv.any(axis=1)
         if candidates.any():
             first = int(np.argmax(candidates))
-            witness = algebra.from_vector([int(c) for c in chunk[first]])
+            witness = _element(algebra, chunk[first])
             return SemiprimeReport(semiprime=False, witness=witness)
     return SemiprimeReport(semiprime=True, witness=None)

@@ -25,8 +25,8 @@ multiplication and is the reference the closed form is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator
 
 from .algebra import AlgebraElement, SteinbergAlgebra, element_to_obj
 from .fields import PrimeField, is_prime
@@ -96,15 +96,17 @@ def _closure(
     return basis
 
 
-def _ideal_from_echelon(
-    algebra: SteinbergAlgebra,
-    generators: tuple[AlgebraElement, ...],
-    basis: EchelonBasis,
-    two_sided: bool,
+def _generated_ideal(
+    algebra: SteinbergAlgebra, generators: list[AlgebraElement], two_sided: bool
 ) -> LeftIdeal:
+    if not generators:
+        raise ValueError("empty generator list")
+    if all(f.is_zero() for f in generators):
+        raise ValueError("all generators are zero")
+    basis = _closure(algebra, (f.to_vector() for f in generators), two_sided)
     return LeftIdeal(
         algebra=algebra,
-        generators=generators,
+        generators=tuple(generators),
         basis=tuple(algebra.from_vector(row) for row in basis.rows),
         dimension=basis.dim,
         two_sided=two_sided,
@@ -117,21 +119,11 @@ def left_ideal(algebra: SteinbergAlgebra, generators: list[AlgebraElement]) -> L
     Local units put every generator inside A * generator, so the span of the
     products 1_g * generator already contains the generators themselves.
     """
-    if not generators:
-        raise ValueError("empty generator list")
-    if all(f.is_zero() for f in generators):
-        raise ValueError("all generators are zero")
-    basis = _closure(algebra, (f.to_vector() for f in generators), two_sided=False)
-    return _ideal_from_echelon(algebra, tuple(generators), basis, two_sided=False)
+    return _generated_ideal(algebra, generators, two_sided=False)
 
 
 def two_sided_ideal(algebra: SteinbergAlgebra, generators: list[AlgebraElement]) -> LeftIdeal:
-    if not generators:
-        raise ValueError("empty generator list")
-    if all(f.is_zero() for f in generators):
-        raise ValueError("all generators are zero")
-    basis = _closure(algebra, (f.to_vector() for f in generators), two_sided=True)
-    return _ideal_from_echelon(algebra, tuple(generators), basis, two_sided=True)
+    return _generated_ideal(algebra, generators, two_sided=True)
 
 
 # -- minimal ideal certificates ------------------------------------------------
@@ -228,26 +220,49 @@ class MinimalityReport:
         return self.minimal
 
 
-def _spin_dim(algebra: SteinbergAlgebra, vec: list, target: int) -> int:
-    """min(dim A*v, target).  The products 1_g * v span the whole of
-    A*v + K*v; callers pass v inside an ideal of dimension target, so the
-    spin cannot grow past it and stops as soon as it gets there."""
-    basis = EchelonBasis(algebra.field, algebra.dim)
-    for g in range(algebra.dim):
-        basis.insert(algebra.left_action(g, vec))
-        if basis.dim == target:
+def _spans(field, width: int, images: Iterable[list], target: int) -> bool:
+    """Whether the images span a space of dimension target.  Callers pass
+    images that lie in a space of that dimension, so insertion stops as soon
+    as the span gets there."""
+    basis = EchelonBasis(field, width)
+    for image in images:
+        if basis.insert(image) and basis.dim == target:
             break
-    return basis.dim
+    return basis.dim == target
 
 
-def _combo(field, basis_vectors: list[list], coeffs: tuple[int, ...]) -> list:
-    width = len(basis_vectors[0])
-    out = [field.zero] * width
-    for c, row in zip(coeffs, basis_vectors):
-        if c:
-            scalar = field.from_integer(c)
-            out = [field.add(a, field.mul(scalar, b)) for a, b in zip(out, row)]
-    return out
+def _nonzero_combos(field: PrimeField, rows: list[list]) -> Iterator[list]:
+    """Every nonzero combination of the rows over GF(p), coefficient tuples
+    in lexicographic order with the first row most significant."""
+    zero = [field.zero] * len(rows[0])
+    for coeffs in islice(product(range(field.p), repeat=len(rows)), 1, None):
+        out = zero
+        for c, row in zip(coeffs, rows):
+            if c:
+                scalar = field.from_integer(c)
+                out = [field.add(a, field.mul(scalar, b)) for a, b in zip(out, row)]
+        yield out
+
+
+def _decide(
+    algebra: SteinbergAlgebra,
+    vectors: Iterable[list],
+    generates: Callable[[list], bool],
+    method: str,
+    dimension: int,
+) -> MinimalityReport:
+    """Minimal iff every nonzero vector generates the whole ideal; the first
+    vector that does not is the witness."""
+    is_zero = algebra.field.is_zero
+    for vec in vectors:
+        if not all(map(is_zero, vec)) and not generates(vec):
+            return MinimalityReport(
+                minimal=False,
+                method=method,
+                dimension=dimension,
+                witness=algebra.from_vector(vec),
+            )
+    return MinimalityReport(minimal=True, method=method, dimension=dimension)
 
 
 def is_minimal_left_ideal(
@@ -267,28 +282,19 @@ def is_minimal_left_ideal(
     records which route decided and the shadow prime used.
     """
     algebra = ideal.algebra
-    if ideal.dimension == 0:
-        raise ValueError("the zero ideal is not eligible for the minimality test")
     field = algebra.field
+    dim = ideal.dimension
+    if dim == 0:
+        raise ValueError("the zero ideal is not eligible for the minimality test")
+
+    def generates(vec: list) -> bool:
+        images = (algebra.left_action(g, vec) for g in range(algebra.dim))
+        return _spans(field, algebra.dim, images, dim)
 
     if isinstance(field, PrimeField):
-        q = field.p
-        check_enum_size(q, ideal.dimension, max_enum)
-        rows = ideal.basis_vectors()
-        for coeffs in product(range(q), repeat=ideal.dimension):
-            if not any(coeffs):
-                continue
-            vec = _combo(field, rows, coeffs)
-            if _spin_dim(algebra, vec, ideal.dimension) != ideal.dimension:
-                return MinimalityReport(
-                    minimal=False,
-                    method=f"exhaustive over GF({q})",
-                    dimension=ideal.dimension,
-                    witness=algebra.from_vector(vec),
-                )
-        return MinimalityReport(
-            minimal=True, method=f"exhaustive over GF({q})", dimension=ideal.dimension
-        )
+        check_enum_size(field.p, dim, max_enum)
+        vectors = _nonzero_combos(field, ideal.basis_vectors())
+        return _decide(algebra, vectors, generates, f"exhaustive over GF({field.p})", dim)
 
     if certificate is None:
         raise ValueError(
@@ -296,10 +302,10 @@ def is_minimal_left_ideal(
         )
     if not ideal.contains(certificate.generator):
         raise ValueError("the certificate generator does not lie in the ideal")
-    if ideal.dimension > MAX_CHAR0_MINIMALITY_DIMENSION:
+    if dim > MAX_CHAR0_MINIMALITY_DIMENSION:
         raise SizeCapExceeded(
             "characteristic-zero minimality test is capped at dimension "
-            f"{MAX_CHAR0_MINIMALITY_DIMENSION}, got {ideal.dimension}"
+            f"{MAX_CHAR0_MINIMALITY_DIMENSION}, got {dim}"
         )
 
     # Spanning set closed under left multiplication by basis indicators.
@@ -307,18 +313,11 @@ def is_minimal_left_ideal(
     spanning = [gen_vec] + [
         algebra.left_action(g, gen_vec) for g in range(algebra.dim)
     ]
-    for vec in spanning:
-        if all(field.is_zero(c) for c in vec):
-            continue
-        if _spin_dim(algebra, vec, ideal.dimension) != ideal.dimension:
-            return MinimalityReport(
-                minimal=False,
-                method="certified construction",
-                dimension=ideal.dimension,
-                witness=algebra.from_vector(vec),
-            )
+    report = _decide(algebra, spanning, generates, "certified construction", dim)
+    if not report.minimal:
+        return report
 
-    shadow_prime = _shadow_prime(algebra.groupoid, ideal.dimension, max_enum)
+    shadow_prime = _shadow_prime(algebra.groupoid, dim, max_enum)
     shadow_algebra = SteinbergAlgebra(algebra.groupoid, PrimeField(shadow_prime))
     members = algebra.groupoid.isotropy(certificate.unit).members
     shadow_gen = shadow_algebra.element({g: 1 for g in members})
@@ -332,7 +331,7 @@ def is_minimal_left_ideal(
     return MinimalityReport(
         minimal=shadow.minimal,
         method=f"certified construction with GF({shadow_prime}) shadow",
-        dimension=ideal.dimension,
+        dimension=dim,
         witness=witness,
         shadow_prime=shadow_prime,
     )
@@ -575,38 +574,12 @@ def corner_minimality_transfer(
 
     def generates(vec: list) -> bool:
         v = algebra.from_vector(vec)
-        spun = EchelonBasis(field, algebra.dim)
-        for op in corner_ops:
-            spun.insert((op * v).to_vector())
-        return spun.dim == dim
+        return _spans(field, algebra.dim, ((op * v).to_vector() for op in corner_ops), dim)
 
     if isinstance(field, PrimeField):
-        q = field.p
-        check_enum_size(q, dim, max_enum)
-        rows = [list(r) for r in corner_ideal.rows]
-        for coeffs in product(range(q), repeat=dim):
-            if not any(coeffs):
-                continue
-            vec = _combo(field, rows, coeffs)
-            if not generates(vec):
-                return MinimalityReport(
-                    minimal=False,
-                    method=f"corner exhaustive over GF({q})",
-                    dimension=dim,
-                    witness=algebra.from_vector(vec),
-                )
-        return MinimalityReport(
-            minimal=True, method=f"corner exhaustive over GF({q})", dimension=dim
-        )
+        check_enum_size(field.p, dim, max_enum)
+        vectors = _nonzero_combos(field, [list(r) for r in corner_ideal.rows])
+        return _decide(algebra, vectors, generates, f"corner exhaustive over GF({field.p})", dim)
 
-    for row in [a.to_vector()] + [(op * a).to_vector() for op in corner_ops]:
-        if all(field.is_zero(c) for c in row):
-            continue
-        if not generates(row):
-            return MinimalityReport(
-                minimal=False,
-                method="corner spanning set",
-                dimension=dim,
-                witness=algebra.from_vector(row),
-            )
-    return MinimalityReport(minimal=True, method="corner spanning set", dimension=dim)
+    spanning = [a.to_vector()] + [(op * a).to_vector() for op in corner_ops]
+    return _decide(algebra, spanning, generates, "corner spanning set", dim)

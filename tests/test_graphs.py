@@ -115,6 +115,13 @@ def test_orbit_size_counts_exponentially_many_paths(time_limit, diamond_chain):
     assert [(b.class_representative, b.size) for b in report.blocks] == [("v60", 2**62 - 3)]
 
 
+def test_long_line_graph_answers_promptly(time_limit):
+    with time_limit(2):
+        report = lpa_socle(line_graph(500))
+    assert len(report.line_points) == 500
+    assert [(b.class_representative, b.size) for b in report.blocks] == [("v500", 500)]
+
+
 def test_path_counts_match_enumeration_on_random_graphs():
     rng = random.Random(41)
     for trial in range(60):

@@ -27,7 +27,7 @@ from steinberg.oracle import (
     oracle_right_socle,
     oracle_socle,
 )
-from steinberg.socle import socle
+from steinberg.socle import LeftIdeal, socle
 
 
 def ideal_rows(ideal):
@@ -118,6 +118,16 @@ def test_left_and_right_socle_agree_on_semiprime_cases():
     left = oracle_socle(algebra)
     right = oracle_right_socle(algebra)
     assert same_subspace(algebra.field, ideal_rows(left), ideal_rows(right), algebra.dim)
+
+
+@pytest.mark.parametrize("socle_of", [oracle_socle, oracle_right_socle])
+def test_socles_are_closure_checked(socle_of):
+    # the span of one arrow is neither a left nor a right ideal
+    algebra = SteinbergAlgebra(pair_groupoid(["a", "b"]), PrimeField(2))
+    arrow = algebra.basis_element("b<a")
+    fake = LeftIdeal(algebra=algebra, generators=(arrow,), basis=(arrow,), dimension=1)
+    with pytest.raises(RuntimeError):
+        socle_of(algebra, minimal=[fake])
 
 
 def canonical_span(algebra, rows):

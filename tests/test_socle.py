@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from steinberg.algebra import SteinbergAlgebra
+from steinberg.algebra import SteinbergAlgebra, element_to_obj
 from steinberg.builders import (
     cyclic_group,
     disjoint_union,
@@ -171,6 +171,20 @@ def test_minimality_exhaustive_over_prime_field():
     assert not report.witness.is_zero()
     smaller = left_ideal(algebra, [report.witness])
     assert smaller.dimension < full.dimension
+    assert element_to_obj(report.witness) == [["1 mod 2", "b<a"]]
+
+
+def test_minimality_certified_construction_finds_a_smaller_ideal():
+    g = pair_groupoid(["a", "b", "c"])
+    algebra = SteinbergAlgebra(g, Q)
+    cert = minimal_ideal_generator(algebra, "a")
+    full = left_ideal(algebra, [algebra.global_unit()])
+    report = is_minimal_left_ideal(full, cert)
+    assert not report.minimal
+    assert report.method == "certified construction"
+    assert report.dimension == 9
+    assert report.shadow_prime is None
+    assert element_to_obj(report.witness) == [["1/1", "a"]]
 
 
 def test_minimality_certificate_route_over_rationals():
