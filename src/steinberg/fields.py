@@ -28,6 +28,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _scalar_text(text) -> str:
+    if not isinstance(text, str):
+        raise ValueError(f"scalars are written as strings, got {text!r}")
+    return text
+
+
 class Rationals:
     """The field of rational numbers, scalars represented as Fraction."""
 
@@ -71,9 +77,11 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}"
 
     def parse_scalar(self, text: str) -> Fraction:
-        num, _, den = text.partition("/")
+        num, _, den = _scalar_text(text).partition("/")
         if not den:
             raise ValueError(f"expected num/den, got {text!r}")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
 
     @property
@@ -148,7 +156,7 @@ class PrimeField:
         return f"{a % self.p} mod {self.p}"
 
     def parse_scalar(self, text: str) -> int:
-        value, _, modulus = text.partition(" mod ")
+        value, _, modulus = _scalar_text(text).partition(" mod ")
         if not modulus:
             raise ValueError(f"expected 'k mod p', got {text!r}")
         if int(modulus) != self.p:

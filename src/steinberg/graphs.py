@@ -178,6 +178,7 @@ class VertexStatus:
 class LinePointReport:
     line_points: tuple[str, ...]
     per_vertex: dict[str, VertexStatus]
+    sink_sizes: dict[str, object]  # orbit size by the sink of a line point
 
 
 def line_points(g: DirectedGraph) -> LinePointReport:
@@ -218,7 +219,7 @@ def line_points(g: DirectedGraph) -> LinePointReport:
             failure_reason=None,
             orbit_size=sizes[walk.sink],
         )
-    return LinePointReport(line_points=tuple(points), per_vertex=statuses)
+    return LinePointReport(line_points=tuple(points), per_vertex=statuses, sink_sizes=sizes)
 
 
 def orbit_size(g: DirectedGraph, v: str):
@@ -347,16 +348,10 @@ def lpa_socle(g: DirectedGraph) -> GraphSocleReport:
     sink.  No line points means the socle is zero.
     """
     report = line_points(g)
-    sinks_in_order = []
-    sizes = {}
-    for v in report.line_points:
-        status = report.per_vertex[v]
-        walk = _unique_walk(g, v)
-        if walk.sink not in sizes:
-            sinks_in_order.append(walk.sink)
-            sizes[walk.sink] = status.orbit_size
-    sinks_in_order.sort(key=g.vertices.index)
-    blocks = tuple(SocleBlock(class_representative=w, size=sizes[w]) for w in sinks_in_order)
+    blocks = tuple(
+        SocleBlock(class_representative=w, size=report.sink_sizes[w])
+        for w in sorted(report.sink_sizes, key=g.vertices.index)
+    )
     return GraphSocleReport(
         line_points=report.line_points,
         blocks=blocks,

@@ -7,15 +7,11 @@ subspace is unique, so two spans are equal exactly when their canonical()
 matrices are equal.
 
 Pivot selection is deterministic (leftmost column, then smallest row index)
-and all arithmetic is exact; over the rationals incoming rows are rescaled to
-integer content before elimination so intermediate entries stay integral
-until the final pivot normalisation.
+and all arithmetic is exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -30,21 +26,6 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _primitive(self, v: list) -> list:
-        # Unit rescale only; the span is unchanged.
-        if self.field.characteristic != 0:
-            return v
-        denom_lcm = 1
-        num_gcd = 0
-        for c in v:
-            if c:
-                denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-                num_gcd = gcd(num_gcd, abs(c.numerator))
-        if num_gcd == 0:
-            return v
-        scale = Fraction(denom_lcm, num_gcd)
-        return [c * scale for c in v]
-
     def reduce(self, vec: Sequence) -> list:
         """Eliminate every known pivot from a copy of vec and return it."""
         f = self.field
@@ -58,7 +39,7 @@ class EchelonBasis:
     def insert(self, vec: Sequence) -> bool:
         """Add vec to the span; returns True if the dimension grew."""
         f = self.field
-        v = self.reduce(self._primitive(list(vec)))
+        v = self.reduce(vec)
         pivot = next((i for i, c in enumerate(v) if not f.is_zero(c)), None)
         if pivot is None:
             return False

@@ -18,8 +18,8 @@ of an orbit is unique, and the arrows of an orbit of k units are matrix units
 e_yx of a full matrix algebra M_k(K).  The socle is then the whole algebra:
 socle() certifies the matrix-unit relations straight from the composition
 table and emits the standard basis, without any row reduction.
-homogeneous_component() computes the same blocks by closing ideals under
-multiplication and is the reference the closed form is tested against.
+homogeneous_component() computes the same blocks by spanning translates of
+the unit indicators and is the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -74,36 +74,31 @@ class LeftIdeal:
         return f"{kind}(dim {self.dimension} of {self.algebra.dim})"
 
 
-def _closure(
-    algebra: SteinbergAlgebra, seeds: Iterable[list], two_sided: bool
+def _translates(
+    field, n: int, action: Callable[[int, list], list], rows: Iterable[list]
 ) -> EchelonBasis:
-    """Saturate the span of the seeds under multiplication by all basis
-    indicators (left only, or both sides).  Rows already in the span reduce
-    to zero and are dropped, so the loop adds at most dim(A) rows."""
-    basis = EchelonBasis(algebra.field, algebra.dim)
-    pending = [list(v) for v in seeds if basis.insert(v)]
-    n = algebra.dim
-    while pending:
-        vec = pending.pop()
+    """The span of action(g, row) over every basis index g and every row."""
+    basis = EchelonBasis(field, n)
+    for row in rows:
         for g in range(n):
-            image = algebra.left_action(g, vec)
-            if basis.insert(image):
-                pending.append(image)
-            if two_sided:
-                image = algebra.right_action(g, vec)
-                if basis.insert(image):
-                    pending.append(image)
+            basis.insert(action(g, row))
     return basis
 
 
 def _generated_ideal(
     algebra: SteinbergAlgebra, generators: list[AlgebraElement], two_sided: bool
 ) -> LeftIdeal:
+    """A f is spanned by the left translates 1_g * f; A f A = A (f A) by the
+    left translates of an echelon basis of the right translates f * 1_h."""
     if not generators:
         raise ValueError("empty generator list")
     if all(f.is_zero() for f in generators):
         raise ValueError("all generators are zero")
-    basis = _closure(algebra, (f.to_vector() for f in generators), two_sided)
+    field, n = algebra.field, algebra.dim
+    rows = [f.to_vector() for f in generators]
+    if two_sided:
+        rows = _translates(field, n, algebra.right_action, rows).rows
+    basis = _translates(field, n, algebra.left_action, rows)
     return LeftIdeal(
         algebra=algebra,
         generators=tuple(generators),
@@ -405,7 +400,8 @@ def homogeneous_component(algebra: SteinbergAlgebra, x: str) -> ComponentDecompo
 
     Verifies the direct sum: the summand dimensions add up across the join
     and the join equals the two-sided ideal generated by 1_x.  This is the
-    closure-based reference for the blocks that socle() emits in closed form.
+    linear-algebra reference, built by spanning translates, for the blocks
+    that socle() emits in closed form.
     """
     gpd = algebra.groupoid
     if not gpd.is_unit(x):

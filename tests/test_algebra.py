@@ -218,6 +218,14 @@ def test_element_json_rejects_duplicates():
         element_from_obj(algebra, [["1/1", "a"], ["2/1", "a"]])
 
 
+@pytest.mark.parametrize("field", [Q, PrimeField(3)], ids=["q", "f3"])
+@pytest.mark.parametrize("scalar", ["1/0", "-2/0", 5, None, ["1/1"]])
+def test_element_json_rejects_malformed_scalars(field, scalar):
+    algebra = SteinbergAlgebra(pair_groupoid(["a", "b"]), field)
+    with pytest.raises(ValueError):
+        element_from_obj(algebra, [[scalar, "a"]])
+
+
 def test_zero_coefficients_are_dropped():
     g = pair_groupoid(["a", "b"])
     algebra = SteinbergAlgebra(g, Q)
