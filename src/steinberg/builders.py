@@ -308,11 +308,6 @@ def random_groupoid(
     return disjoint_union(*parts)
 
 
-def random_element_subset(rng: random.Random, g: FiniteGroupoid, max_size: int = 6) -> list[str]:
-    size = rng.randint(1, max_size)
-    return rng.sample(list(g.elements), min(size, len(g.elements)))
-
-
 def random_bisection(rng: random.Random, g: FiniteGroupoid, max_size: int = 6) -> list[str]:
     """A random subset with injective source and range, greedily grown."""
     picked: list[str] = []

@@ -7,12 +7,9 @@ import os
 # Validation walks all composable triples, which is cubic in the worst case.
 MAX_GROUPOID_ELEMENTS = 512
 
-# Ceiling on exhaustive vector enumeration (q ** dimension).
+# Ceiling on exhaustive vector enumeration (q ** dimension): the oracle's
+# q^|G| vectors, and the minimality test's q^(dim I / k) corner vectors.
 ENUM_CAP = 1 << 20
-
-# Largest ideal the characteristic-zero minimality test accepts: it spins
-# every vector of a spanning set of size |G| + 1 by exact rational reduction.
-MAX_CHAR0_MINIMALITY_DIMENSION = 12
 
 ENUM_CAP_ENV = "STEINBERG_MAX_ENUM"
 

@@ -61,35 +61,11 @@ class EchelonBasis:
         f = self.field
         return all(f.is_zero(c) for c in self.reduce(vec))
 
-    def contains_all(self, vecs: Iterable[Sequence]) -> bool:
-        return all(self.contains(v) for v in vecs)
-
     def canonical(self) -> tuple[tuple, ...]:
         return tuple(tuple(row) for row in self.rows)
-
-    def copy(self) -> "EchelonBasis":
-        dup = EchelonBasis(self.field, self.width)
-        dup.rows = [list(r) for r in self.rows]
-        dup.pivots = list(self.pivots)
-        return dup
 
 
 def rref(field, rows: Iterable[Sequence], width: int) -> EchelonBasis:
     basis = EchelonBasis(field, width)
     basis.extend(rows)
     return basis
-
-
-def span_dim(field, rows: Iterable[Sequence], width: int) -> int:
-    return rref(field, rows, width).dim
-
-
-def same_subspace(field, rows_a, rows_b, width: int) -> bool:
-    return rref(field, rows_a, width).canonical() == rref(field, rows_b, width).canonical()
-
-
-def intersection_is_zero(field, basis_a: EchelonBasis, basis_b: EchelonBasis) -> bool:
-    """dim(U + V) = dim U + dim V exactly when U and V meet only in zero."""
-    joint = basis_a.copy()
-    added = joint.extend(basis_b.rows)
-    return added == basis_b.dim

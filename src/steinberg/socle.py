@@ -9,6 +9,13 @@ is minimal, and the character of the generator splits by the field:
 * char(K) divides n: t * t = n t = 0, t is an absolute zero divisor
   (t A t = 0) and the ideal squares to zero ("absolute_zero_divisor" flavour).
 
+Minimality is decided in the corner 1_x A 1_x = K[xGx].  An orbit of k units
+spans a block with central indicator, a minimal left ideal I lies in one
+block, and I is minimal iff 1_x I is a simple K[xGx]-module; dim I is
+k * dim 1_x I.  A one-dimensional 1_x I, or trivial isotropy, decides the
+question by rank alone over any field; only nontrivial isotropy without a
+certificate enumerates, over GF(p), the p^(dim I / k) vectors of 1_x I.
+
 Socle assembly only sees the semisimple part.  A unit x contributes 1_x to
 the socle exactly when its isotropy is trivial.  The engine refuses to
 assemble a socle unless every unit has trivial isotropy (condition (LP)
@@ -25,13 +32,14 @@ the unit indicators and is the reference the closed form is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
 from .algebra import AlgebraElement, SteinbergAlgebra, element_to_obj
-from .fields import PrimeField, is_prime
+from .fields import PrimeField
 from .groupoid import FiniteGroupoid, OrbitClass
-from .limits import MAX_CHAR0_MINIMALITY_DIMENSION, SizeCapExceeded, check_enum_size
+from .limits import check_enum_size
 from .linalg import EchelonBasis
 
 DIVISION_IDEMPOTENT = "division_idempotent"
@@ -59,12 +67,17 @@ class LeftIdeal:
         return tuple(tuple(v) for v in self.basis_vectors())
 
     def echelon(self) -> EchelonBasis:
+        """A fresh echelon basis of the ideal, free for the caller to extend."""
         basis = EchelonBasis(self.algebra.field, self.algebra.dim)
         basis.extend(self.basis_vectors())
         return basis
 
+    @cached_property
+    def _membership(self) -> EchelonBasis:
+        return self.echelon()
+
     def contains(self, f: AlgebraElement) -> bool:
-        return self.echelon().contains(f.to_vector())
+        return self._membership.contains(f.to_vector())
 
     def same_subspace(self, other: "LeftIdeal") -> bool:
         return self.canonical_matrix() == other.canonical_matrix()
@@ -209,7 +222,6 @@ class MinimalityReport:
     method: str
     dimension: int
     witness: AlgebraElement | None = None
-    shadow_prime: int | None = None
 
     def __bool__(self) -> bool:
         return self.minimal
@@ -260,96 +272,100 @@ def _decide(
     return MinimalityReport(minimal=True, method=method, dimension=dimension)
 
 
+def _restrict(row: list, keep: list[bool], zero) -> list:
+    """The vector of 1_U * f: the entries of f on the arrows whose range lies
+    in the unit set U, marked column by column in keep."""
+    return [c if k else zero for c, k in zip(row, keep)]
+
+
 def is_minimal_left_ideal(
     ideal: LeftIdeal,
     certificate: MinimalIdealCertificate | None = None,
     max_enum: int | None = None,
 ) -> MinimalityReport:
-    """Decide whether a left ideal is minimal.
+    """Decide whether a left ideal I is minimal, inside a corner 1_x A 1_x.
 
-    Over GF(q) the test is assumption free: every one of the q^dim - 1
-    nonzero vectors of the ideal must generate the whole ideal (subject to
-    the enumeration cap).  Over the rationals the decision is restricted to
-    certificate-generated ideals; it checks that every vector of the
-    multiplicative spanning set generates the full ideal and then repeats
-    the exhaustive test on a prime-field shadow of the same groupoid, with
-    the shadow prime chosen not to divide the groupoid order.  The report
-    records which route decided and the shadow prime used.
+    For an orbit O of k units, 1_O = sum of the 1_y over y in O is central,
+    so I is the direct sum of the 1_O I and a minimal I lies in one block.
+    Inside the block of O, with x in O, L -> 1_x L maps the submodules of I
+    isomorphically onto the R_x-submodules of 1_x I, where
+    R_x = 1_x A 1_x = K[xGx], and dim I = k * dim 1_x I.  So I is minimal
+    iff 1_x I is a simple R_x-module, and any v in 1_x I that spans a proper
+    R_x-submodule is a witness.  x is the certificate's unit if one is
+    given, else the orbit representative, and the route that decided is
+    recorded in the report:
+
+    * "orbit blocks": I meets two blocks, and the first nonzero 1_O b is a
+      witness;
+    * "corner rank": dim 1_x I = 1 makes I minimal over any field; with
+      trivial isotropy R_x = K, so for dim 1_x I > 1 a nonzero row of 1_x I
+      is a witness;
+    * "certified construction": dim 1_x I > 1 and the certificate generator
+      is a witness, because R_x t = K t for the isotropy sum t;
+    * "corner exhaustive over GF(p)": nontrivial isotropy, dim 1_x I > 1 and
+      no certificate.  Every one of the p^(dim I / k) - 1 nonzero vectors of
+      1_x I (subject to the enumeration cap) is spun by the |xGx| isotropy
+      translates.  Over the rationals this case raises ValueError: it needs
+      a certificate.
     """
     algebra = ideal.algebra
-    field = algebra.field
+    field, gpd, n = algebra.field, algebra.groupoid, algebra.dim
     dim = ideal.dimension
     if dim == 0:
         raise ValueError("the zero ideal is not eligible for the minimality test")
+    if certificate is not None and not ideal.contains(certificate.generator):
+        raise ValueError("the certificate generator does not lie in the ideal")
+
+    def answer(minimal: bool, method: str, witness: list | None = None) -> MinimalityReport:
+        return MinimalityReport(
+            minimal=minimal,
+            method=method,
+            dimension=dim,
+            witness=None if witness is None else algebra.from_vector(witness),
+        )
+
+    rows = ideal.basis_vectors()
+    ranges = [gpd.r(g) for g in gpd.elements]
+    orbits = gpd.orbit_classes()
+    block_of = {y: i for i, orbit in enumerate(orbits) for y in orbit.members}
+    blocks = [block_of[y] for y in ranges]
+    met = sorted({blocks[j] for row in rows for j, c in enumerate(row) if not field.is_zero(c)})
+    if len(met) > 1:
+        in_first = [b == met[0] for b in blocks]
+        parts = (_restrict(row, in_first, field.zero) for row in rows)
+        witness = next(v for v in parts if not all(map(field.is_zero, v)))
+        return answer(False, "orbit blocks", witness)
+
+    orbit = orbits[met[0]]
+    x = orbit.representative if certificate is None else certificate.unit
+    at_x = [y == x for y in ranges]
+    corner = EchelonBasis(field, n)
+    corner.extend(_restrict(row, at_x, field.zero) for row in rows)
+    if corner.dim * len(orbit) != dim:
+        raise RuntimeError(
+            f"dim 1_x I = {corner.dim} at {x!r} times the orbit size {len(orbit)} "
+            f"is not dim I = {dim}"
+        )
+    if corner.dim == 1:
+        return answer(True, "corner rank")
+    if certificate is not None:
+        return answer(False, "certified construction", certificate.generator.to_vector())
+    isotropy = [gpd.index[h] for h in gpd.isotropy(x).members]
+    if len(isotropy) == 1:
+        return answer(False, "corner rank", corner.rows[0])
+    if not isinstance(field, PrimeField):
+        raise ValueError(
+            "over the rationals minimality with nontrivial isotropy is decided only "
+            "for certificate-generated ideals"
+        )
+    check_enum_size(field.p, corner.dim, max_enum)
 
     def generates(vec: list) -> bool:
-        images = (algebra.left_action(g, vec) for g in range(algebra.dim))
-        return _spans(field, algebra.dim, images, dim)
+        images = (algebra.left_action(h, vec) for h in isotropy)
+        return _spans(field, n, images, corner.dim)
 
-    if isinstance(field, PrimeField):
-        check_enum_size(field.p, dim, max_enum)
-        vectors = _nonzero_combos(field, ideal.basis_vectors())
-        return _decide(algebra, vectors, generates, f"exhaustive over GF({field.p})", dim)
-
-    if certificate is None:
-        raise ValueError(
-            "over the rationals minimality is decided only for certificate-generated ideals"
-        )
-    if not ideal.contains(certificate.generator):
-        raise ValueError("the certificate generator does not lie in the ideal")
-    if dim > MAX_CHAR0_MINIMALITY_DIMENSION:
-        raise SizeCapExceeded(
-            "characteristic-zero minimality test is capped at dimension "
-            f"{MAX_CHAR0_MINIMALITY_DIMENSION}, got {dim}"
-        )
-
-    # Spanning set closed under left multiplication by basis indicators.
-    gen_vec = certificate.generator.to_vector()
-    spanning = [gen_vec] + [
-        algebra.left_action(g, gen_vec) for g in range(algebra.dim)
-    ]
-    report = _decide(algebra, spanning, generates, "certified construction", dim)
-    if not report.minimal:
-        return report
-
-    shadow_prime = _shadow_prime(algebra.groupoid, dim, max_enum)
-    shadow_algebra = SteinbergAlgebra(algebra.groupoid, PrimeField(shadow_prime))
-    members = algebra.groupoid.isotropy(certificate.unit).members
-    shadow_gen = shadow_algebra.element({g: 1 for g in members})
-    shadow_ideal = left_ideal(shadow_algebra, [shadow_gen])
-    shadow = is_minimal_left_ideal(shadow_ideal, max_enum=max_enum)
-    witness = None
-    if not shadow.minimal and shadow.witness is not None:
-        witness = algebra.element(
-            {g: c for g, c in shadow.witness.coeffs.items()}
-        )
-    return MinimalityReport(
-        minimal=shadow.minimal,
-        method=f"certified construction with GF({shadow_prime}) shadow",
-        dimension=dim,
-        witness=witness,
-        shadow_prime=shadow_prime,
-    )
-
-
-def _shadow_prime(gpd: FiniteGroupoid, dimension: int, max_enum: int | None) -> int:
-    """The least prime not dividing |G| whose exhaustive test fits the cap.
-
-    p^dimension only grows with p, so the first candidate over the cap ends
-    the scan with SizeCapExceeded; the scan never passes the cap's root.
-    """
-    order = len(gpd.elements)
-    p = 2
-    while True:
-        try:
-            check_enum_size(p, dimension, max_enum)
-        except SizeCapExceeded as exc:
-            raise SizeCapExceeded(
-                f"no shadow prime coprime to |G| = {order} fits the cap: {exc}"
-            ) from None
-        if is_prime(p) and order % p != 0:
-            return p
-        p += 1
+    vectors = _nonzero_combos(field, corner.rows)
+    return _decide(algebra, vectors, generates, f"corner exhaustive over GF({field.p})", dim)
 
 
 # -- condition (LP) and the socle ------------------------------------------------
@@ -542,9 +558,10 @@ def corner_minimality_transfer(
     """Check that e A a is minimal as a left ideal of the corner e A e.
 
     Preconditions: e is an idempotent, a = e a e, and A a is a minimal left
-    ideal (pass the certificate over the rationals).  Minimality inside the
-    corner is tested exhaustively over prime fields and on the corner
-    spanning set over the rationals.
+    ideal, as decided by is_minimal_left_ideal (which needs the certificate
+    over the rationals when A a has a nontrivial isotropy corner of
+    dimension > 1).  Minimality inside e A e is tested exhaustively over
+    prime fields and on the corner spanning set over the rationals.
     """
     algebra = e.algebra
     field = algebra.field

@@ -15,7 +15,7 @@ from steinberg.builders import (
 )
 from steinberg.fields import PrimeField, Rationals
 from steinberg.limits import SizeCapExceeded
-from steinberg.linalg import rref, same_subspace
+from steinberg.linalg import rref
 from steinberg.oracle import (
     _accumulator_dtype,
     _batched_rref,
@@ -28,6 +28,8 @@ from steinberg.oracle import (
     oracle_socle,
 )
 from steinberg.socle import LeftIdeal, socle
+
+from references import same_subspace
 
 
 def ideal_rows(ideal):

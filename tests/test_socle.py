@@ -17,10 +17,11 @@ from steinberg.builders import (
 from steinberg.fields import PrimeField, Rationals, field_from_designator
 from steinberg.groupoid import FiniteGroupoid
 from steinberg.limits import SizeCapExceeded
-from steinberg.linalg import EchelonBasis, intersection_is_zero, rref
+from steinberg.linalg import EchelonBasis, rref
 from steinberg.socle import (
     ABSOLUTE_ZERO_DIVISOR,
     DIVISION_IDEMPOTENT,
+    LeftIdeal,
     LPViolationError,
     SocleComponent,
     SocleReport,
@@ -35,6 +36,8 @@ from steinberg.socle import (
     socle,
     two_sided_ideal,
 )
+
+from references import exhaustive_minimality, generated_dimension, intersection_is_zero
 
 Q = Rationals()
 
@@ -218,18 +221,20 @@ def test_minimality_exhaustive_over_prime_field():
     ideal = left_ideal(algebra, [algebra.basis_element("a")])
     report = is_minimal_left_ideal(ideal)
     assert report.minimal
-    assert report.method == "exhaustive over GF(2)"
+    assert report.method == "corner rank"
     assert report.dimension == 2
+    assert exhaustive_minimality(ideal).minimal
 
+    # trivial isotropy: the first row of 1_a A, 1_a itself, is the witness
     full = left_ideal(algebra, [algebra.global_unit()])
     report = is_minimal_left_ideal(full)
     assert not report.minimal
-    assert report.witness is not None
+    assert report.method == "corner rank"
+    assert report.dimension == 4
+    assert element_to_obj(report.witness) == [["1 mod 2", "a"]]
     assert full.contains(report.witness)
-    assert not report.witness.is_zero()
-    smaller = left_ideal(algebra, [report.witness])
-    assert smaller.dimension < full.dimension
-    assert element_to_obj(report.witness) == [["1 mod 2", "b<a"]]
+    assert 0 < generated_dimension(report.witness) == 2 < full.dimension
+    assert not exhaustive_minimality(full).minimal
 
 
 def test_minimality_certified_construction_finds_a_smaller_ideal():
@@ -241,8 +246,8 @@ def test_minimality_certified_construction_finds_a_smaller_ideal():
     assert not report.minimal
     assert report.method == "certified construction"
     assert report.dimension == 9
-    assert report.shadow_prime is None
     assert element_to_obj(report.witness) == [["1/1", "a"]]
+    assert generated_dimension(report.witness) == 3
 
 
 def test_minimality_certificate_route_over_rationals():
@@ -253,15 +258,28 @@ def test_minimality_certificate_route_over_rationals():
     assert ideal.dimension == 3
     report = is_minimal_left_ideal(ideal, cert)
     assert report.minimal
-    assert report.shadow_prime == 2  # smallest prime not dividing |G| = 9
-    assert report.method == "certified construction with GF(2) shadow"
+    assert report.method == "corner rank"
+    assert report.dimension == 3
+    assert report.witness is None
 
 
 def test_minimality_char0_requires_certificate():
-    algebra = SteinbergAlgebra(pair_groupoid(["a", "b"]), Q)
-    ideal = left_ideal(algebra, [algebra.basis_element("a")])
-    with pytest.raises(ValueError):
-        is_minimal_left_ideal(ideal)
+    # Z2 isotropy and dim 1_a A = 4 > 1: over q nothing decides without a
+    # certificate, while trivial isotropy decides by rank alone
+    algebra = SteinbergAlgebra(transitive_groupoid(["a", "b"], cyclic_group(2)), Q)
+    full = left_ideal(algebra, [algebra.global_unit()])
+    with pytest.raises(ValueError, match="certificate"):
+        is_minimal_left_ideal(full)
+    cert = minimal_ideal_generator(algebra, "a")
+    report = is_minimal_left_ideal(full, cert)
+    assert not report.minimal
+    assert report.method == "certified construction"
+    assert report.witness == cert.generator
+    assert 0 < generated_dimension(report.witness) == 2 < full.dimension == 8
+
+    principal = SteinbergAlgebra(pair_groupoid(["a", "b"]), Q)
+    ideal = left_ideal(principal, [principal.basis_element("a")])
+    assert is_minimal_left_ideal(ideal).method == "corner rank"
 
 
 def test_minimality_rejects_foreign_certificate():
@@ -274,32 +292,133 @@ def test_minimality_rejects_foreign_certificate():
         is_minimal_left_ideal(other, cert)
 
 
-def test_minimality_dimension_cap_over_rationals():
-    g = pair_groupoid([f"p{i}" for i in range(13)])
+def test_minimality_splits_orbit_blocks():
+    g = disjoint_union(pair_groupoid(["a", "b"]), trivial_groupoid("z"))
     algebra = SteinbergAlgebra(g, Q)
-    cert = minimal_ideal_generator(algebra, "p0")
-    ideal = left_ideal(algebra, [cert.generator])
-    assert ideal.dimension == 13
+    ideal = left_ideal(algebra, [algebra.element({"a": 1, "b<a": 2, "z": 3})])
+    assert ideal.dimension == 3
+    report = is_minimal_left_ideal(ideal)
+    assert not report.minimal
+    assert report.method == "orbit blocks"
+    # 1_a + 1_b, the indicator of the first block, times the first basis row
+    assert element_to_obj(report.witness) == [["1/1", "a"]]
+    assert generated_dimension(report.witness) == 2
+
+
+def test_minimality_checks_the_corner_dimension():
+    # a subspace that is not a left ideal: dim 1_a I = 1 but the orbit has 2 units
+    algebra = SteinbergAlgebra(pair_groupoid(["a", "b"]), PrimeField(2))
+    a = algebra.basis_element("a")
+    not_an_ideal = LeftIdeal(algebra, generators=(a,), basis=(a,), dimension=1)
+    with pytest.raises(RuntimeError, match="orbit size 2"):
+        is_minimal_left_ideal(not_an_ideal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 12),
+    max_isotropy=st.integers(1, 6),
+    designator=st.sampled_from(["q", "f2", "f3"]),
+    count=st.integers(1, 2),
+    certified=st.booleans(),
+)
+def test_corner_minimality_matches_the_exhaustive_route(
+    seed, size, max_isotropy, designator, count, certified
+):
+    rng = random.Random(seed)
+    g = random_groupoid(rng, size, principal=False, max_isotropy=max_isotropy)
+    algebra = SteinbergAlgebra(g, field_from_designator(designator))
+    generators = _random_generators(rng, algebra, count)
+    cert = None
+    if certified:
+        cert = minimal_ideal_generator(algebra, rng.choice(g.units()))
+        generators[0] = cert.generator
+    ideal = left_ideal(algebra, generators)
+    cap = 3**7
+    try:
+        report = is_minimal_left_ideal(ideal, cert, max_enum=cap)
+    except ValueError:
+        # only an isotropy corner over q without a certificate is undecided
+        assert designator == "q" and cert is None and not check_condition_LP(g).holds
+        return
+    assert report.dimension == ideal.dimension
+    if report.minimal:
+        assert report.witness is None
+    else:
+        assert ideal.contains(report.witness)
+        assert 0 < generated_dimension(report.witness) < ideal.dimension
+    if designator != "q" and algebra.field.p ** ideal.dimension <= cap:
+        reference = exhaustive_minimality(ideal, max_enum=cap)
+        assert (report.minimal, report.dimension) == (reference.minimal, reference.dimension)
+
+
+def test_ideal_membership_reuses_one_echelon_basis(time_limit):
+    # 4096 membership tests against a 64-dimensional ideal over q took ~56 s
+    # when each call rebuilt the echelon basis
+    rng = random.Random(5)
+    g = transitive_groupoid([f"u{i}" for i in range(4)], cyclic_group(4))
+    algebra = SteinbergAlgebra(g, Q)
+    ideal = two_sided_ideal(algebra, _random_generators(rng, algebra, 1))
+    assert ideal.dimension == 64
+    units = [algebra.basis_element(h) for h in g.elements]
+    with time_limit(5):
+        assert all(ideal.contains(u * b) for u in units for b in ideal.basis)
+    assert ideal.echelon() is not ideal.echelon()
+
+
+def test_minimality_over_rationals_answers_large_pair_groupoids(time_limit):
+    # these certificate ideals were refused (size cap) or hung before the
+    # corner decision; dim 1_p0 I = 1 decides them without enumeration
+    for k in (13, 12, 22):
+        algebra = SteinbergAlgebra(pair_groupoid([f"p{i}" for i in range(k)]), Q)
+        cert = minimal_ideal_generator(algebra, "p0")
+        ideal = left_ideal(algebra, [cert.generator])
+        with time_limit(2):
+            report = is_minimal_left_ideal(ideal, cert)
+        assert report.minimal
+        assert report.method == "corner rank"
+        assert report.dimension == k
+
+
+def test_minimality_over_prime_field_answers_without_enumeration(time_limit):
+    # 2^12 vectors spun by 144 translates each took ~26 s
+    algebra = SteinbergAlgebra(pair_groupoid([f"p{i}" for i in range(12)]), PrimeField(2))
+    ideal = left_ideal(algebra, [minimal_ideal_generator(algebra, "p0").generator])
+    with time_limit(0.5):
+        report = is_minimal_left_ideal(ideal, max_enum=2)
+    assert report.minimal
+    assert report.dimension == 12
+
+
+def test_minimality_enumerates_only_the_isotropy_corner():
+    # GF(2)[Z3] = GF(2) + GF(4): the augmentation ideal at u0 is the simple
+    # GF(4), so 1_u0 I is 2-dimensional and simple; the cap applies to the
+    # 2^(dim I / k) = 4 corner vectors, not to 2^4
+    g = transitive_groupoid(["u0", "u1"], cyclic_group(3))
+    algebra = SteinbergAlgebra(g, PrimeField(2))
+    ideal = left_ideal(algebra, [algebra.element({"u0": 1, "u0|g": 1})])
+    assert ideal.dimension == 4
+    report = is_minimal_left_ideal(ideal, max_enum=4)
+    assert report.minimal
+    assert report.method == "corner exhaustive over GF(2)"
+    assert exhaustive_minimality(ideal).minimal
     with pytest.raises(SizeCapExceeded):
-        is_minimal_left_ideal(ideal, cert)
-
-
-def test_minimality_shadow_prime_scan_stops_at_the_cap(time_limit):
-    # |G| = 144: GF(2) and GF(3) divide it and 5^12 is over the cap
-    g = pair_groupoid([f"p{i}" for i in range(12)])
-    algebra = SteinbergAlgebra(g, Q)
-    cert = minimal_ideal_generator(algebra, "p0")
-    ideal = left_ideal(algebra, [cert.generator])
-    with time_limit(5), pytest.raises(SizeCapExceeded):
-        is_minimal_left_ideal(ideal, cert)
+        is_minimal_left_ideal(ideal, max_enum=3)
 
 
 def test_minimality_enumeration_cap_over_prime_field():
-    g = pair_groupoid(["a", "b", "c"])
-    algebra = SteinbergAlgebra(g, PrimeField(2))
+    # Z4 isotropy without a certificate still enumerates 1_u0 I: 3^12 vectors
+    g = transitive_groupoid(["u0", "u1", "u2"], cyclic_group(4))
+    algebra = SteinbergAlgebra(g, PrimeField(3))
     ideal = left_ideal(algebra, [algebra.global_unit()])
-    with pytest.raises(SizeCapExceeded):
+    assert ideal.dimension == 36
+    with pytest.raises(SizeCapExceeded, match="3\\^12"):
         is_minimal_left_ideal(ideal, max_enum=2**8)
+    report = is_minimal_left_ideal(ideal)
+    assert not report.minimal
+    assert report.method == "corner exhaustive over GF(3)"
+    assert 0 < generated_dimension(report.witness) < ideal.dimension
 
 
 def test_modular_ideal_squares_to_zero():
