@@ -367,10 +367,27 @@ def test_ideal_membership_reuses_one_echelon_basis(time_limit):
     assert ideal.echelon() is not ideal.echelon()
 
 
-def test_minimality_over_rationals_answers_large_pair_groupoids(time_limit):
-    # these certificate ideals were refused (size cap) or hung before the
-    # corner decision; dim 1_p0 I = 1 decides them without enumeration
-    for k in (13, 12, 22):
+def test_minimality_dimension_cap_over_rationals(time_limit):
+    # pair(13) over q lies past the former 12-dimension cap for char 0, which
+    # raised SizeCapExceeded; dim 1_p0 I = 1 now decides it without enumeration,
+    # with or without a certificate
+    algebra = SteinbergAlgebra(pair_groupoid([f"p{i}" for i in range(13)]), Q)
+    cert = minimal_ideal_generator(algebra, "p0")
+    ideal = left_ideal(algebra, [cert.generator])
+    assert ideal.dimension == 13
+    for certificate in (cert, None):
+        with time_limit(2):
+            report = is_minimal_left_ideal(ideal, certificate)
+        assert report.minimal
+        assert report.method == "corner rank"
+        assert report.dimension == 13
+
+
+def test_minimality_shadow_prime_scan_stops_at_the_cap(time_limit):
+    # |G| = 144 for pair(12): the former scan for a coprime shadow prime ran
+    # until the enumeration cap refused it; the corner decision needs no
+    # shadow prime, so pair(12) and pair(22) over q answer promptly
+    for k in (12, 22):
         algebra = SteinbergAlgebra(pair_groupoid([f"p{i}" for i in range(k)]), Q)
         cert = minimal_ideal_generator(algebra, "p0")
         ideal = left_ideal(algebra, [cert.generator])
