@@ -177,9 +177,7 @@ def _materialized_cross_check(graph_obj, report, field, max_enum):
     algebra = SteinbergAlgebra(mat, field)
     engine_report = compute_socle(algebra)
     engine_sizes = sorted(c.matrix_size for c in engine_report.components)
-    block_sizes = sorted(
-        b.size for b in report.blocks if not isinstance(b.size, graphs._Infinite)
-    )
+    block_sizes = sorted(b.size for b in report.blocks if b.size is not graphs.INFINITE)
     detail = {
         "materialized_elements": len(mat.elements),
         "engine_matrix_sizes": engine_sizes,

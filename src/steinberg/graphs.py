@@ -13,10 +13,19 @@ INFINITE when a cycle feeds the sink.  No line points means zero socle; a
 vertex on a cycle contributes nothing because its isotropy is a copy of the
 integers.
 
-Paths into a sink are counted, not listed: a dynamic programme over the
-sink's ancestors in reverse topological order sums exact integers, so a
-chain of diamonds with 2^k paths costs O(V + E).  Paths are enumerated only
-to materialise the groupoid, after the counts have passed the size cap.
+Two traversals serve every question.  A backward flood from marked
+vertices, taken in sorted order, gives each vertex the least mark it
+reaches: flooded from the branching vertices it names the first reason a
+vertex is not a line point, and flooded from sinks it finds their
+ancestors.  Kahn's peel orders a vertex set topologically and leaves over
+the vertices on or past a cycle.  Peeling the vertices that reach no
+branching vertex (each emits at most one edge) leaves exactly their
+cycles; peeling the whole graph decides acyclicity and orders one dynamic
+programme that counts, in exact integers, the paths ending at every
+ancestor of the sinks asked for.  So the statuses and the counts cost
+O(V + E) integer additions, and a chain of diamonds with 2^k paths is
+counted, never listed.  Paths are enumerated only to materialise the
+groupoid, after the counts have passed the size cap.
 
 For acyclic graphs the boundary-path groupoid is materialised explicitly:
 units are the finite paths ending at sinks and two of them are connected by
@@ -60,15 +69,23 @@ class DirectedGraph:
     edges: tuple[tuple[str, str, str], ...]
 
     @cached_property
-    def _out_edges(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
-        """Each vertex's out-edges in declaration order, built once."""
-        lists: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
+    def _adjacency(self) -> tuple[dict, dict]:
+        """Each vertex's out-edges and in-edges in declaration order, built once."""
+        outs: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
+        ins: dict[str, list[tuple[str, str, str]]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            lists[e[1]].append(e)
-        return {v: tuple(es) for v, es in lists.items()}
+            outs[e[1]].append(e)
+            ins[e[2]].append(e)
+        return (
+            {v: tuple(es) for v, es in outs.items()},
+            {v: tuple(es) for v, es in ins.items()},
+        )
 
     def out_edges(self, v: str) -> tuple[tuple[str, str, str], ...]:
-        return self._out_edges.get(v, ())
+        return self._adjacency[0].get(v, ())
+
+    def in_edges(self, v: str) -> tuple[tuple[str, str, str], ...]:
+        return self._adjacency[1].get(v, ())
 
     def is_sink(self, v: str) -> bool:
         return not self.out_edges(v)
@@ -76,23 +93,8 @@ class DirectedGraph:
     def successors(self, v: str) -> list[str]:
         return [e[2] for e in self.out_edges(v)]
 
-    def reachable_from(self, v: str) -> set[str]:
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            w = frontier.pop()
-            for t in self.successors(w):
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        return seen
-
-    def vertices_on_cycles(self) -> set[str]:
-        out = set()
-        for v in self.vertices:
-            if any(v in self.reachable_from(t) for t in self.successors(v)):
-                out.add(v)
-        return out
+    def predecessors(self, v: str) -> list[str]:
+        return [e[1] for e in self.in_edges(v)]
 
 
 def make_graph(vertices: list[str], edges: list[tuple[str, str, str]]) -> DirectedGraph:
@@ -181,120 +183,109 @@ class LinePointReport:
     sink_sizes: dict[str, object]  # orbit size by the sink of a line point
 
 
+def _least_reached(g: DirectedGraph, marks) -> dict[str, str]:
+    """For every vertex that reaches a mark, the least mark it reaches.
+
+    Marks flood backwards in sorted order, and a flood stops at vertices an
+    earlier one claimed: whatever reaches a claimed vertex reaches its
+    lesser mark too.  So each vertex is claimed once, by its least mark.
+    """
+    least: dict[str, str] = {}
+    for m in sorted(marks):
+        if m in least:
+            continue
+        least[m] = m
+        frontier = [m]
+        while frontier:
+            for u in g.predecessors(frontier.pop()):
+                if u not in least:
+                    least[u] = m
+                    frontier.append(u)
+    return least
+
+
+def _peel(vertices, after) -> tuple[list[str], list[str]]:
+    """Kahn's algorithm: an order in which every vertex precedes the ones
+    `after` maps it to, and the vertices left over, which lie on or past a
+    cycle.  `after` must map the vertices into themselves."""
+    pending = dict.fromkeys(vertices, 0)  # edges into each vertex not yet peeled
+    for v in pending:
+        for w in after(v):
+            pending[w] += 1
+    order = [v for v, n in pending.items() if not n]
+    for v in order:  # grows while it is walked
+        for w in after(v):
+            pending[w] -= 1
+            if not pending[w]:
+                order.append(w)
+    return order, [v for v, n in pending.items() if n]
+
+
 def line_points(g: DirectedGraph) -> LinePointReport:
-    cycle_vertices = g.vertices_on_cycles()
+    """Each vertex's status.  A vertex that reaches a branching vertex is
+    named by the least one.  The others emit at most one edge each, so
+    peeling them leaves exactly their cycles, and a vertex that reaches
+    one is named by the least cycle vertex it reaches."""
+    branching = _least_reached(g, (v for v in g.vertices if len(g.out_edges(v)) > 1))
+    _, cycles = _peel([v for v in g.vertices if v not in branching], g.successors)
+    cyclic = _least_reached(g, cycles)
+    walks = {v: _unique_walk(g, v) for v in g.vertices if v not in branching and v not in cyclic}
+    counts = _path_counts(g, {w.sink for w in walks.values()})
+    sizes = {w.sink: counts[w.sink] for w in walks.values()}  # by sink, in line-point order
     statuses = {}
-    points = []
-    sizes = {}  # orbit size by sink, counted once per sink
     for v in g.vertices:
-        reachable = g.reachable_from(v)
-        branching = sorted(w for w in reachable if len(g.out_edges(w)) > 1)
-        if branching:
-            statuses[v] = VertexStatus(
-                vertex=v,
-                is_line_point=False,
-                boundary_path=None,
-                failure_reason=f"more than one edge leaves {branching[0]!r}",
-                orbit_size=None,
-            )
+        if v in walks:
+            walk = walks[v]
+            statuses[v] = VertexStatus(v, True, walk.serialize(), None, sizes[walk.sink])
             continue
-        cyclic = sorted(reachable & cycle_vertices)
-        if cyclic:
-            statuses[v] = VertexStatus(
-                vertex=v,
-                is_line_point=False,
-                boundary_path=None,
-                failure_reason=f"the boundary path is eventually periodic (cycle through {cyclic[0]!r})",
-                orbit_size=None,
-            )
-            continue
-        walk = _unique_walk(g, v)
-        if walk.sink not in sizes:
-            sizes[walk.sink] = orbit_size(g, v)
-        points.append(v)
-        statuses[v] = VertexStatus(
-            vertex=v,
-            is_line_point=True,
-            boundary_path=walk.serialize(),
-            failure_reason=None,
-            orbit_size=sizes[walk.sink],
-        )
-    return LinePointReport(line_points=tuple(points), per_vertex=statuses, sink_sizes=sizes)
+        if v in branching:
+            reason = f"more than one edge leaves {branching[v]!r}"
+        else:
+            reason = f"the boundary path is eventually periodic (cycle through {cyclic[v]!r})"
+        statuses[v] = VertexStatus(v, False, None, reason, None)
+    return LinePointReport(line_points=tuple(walks), per_vertex=statuses, sink_sizes=sizes)
 
 
 def orbit_size(g: DirectedGraph, v: str):
     """The number of finite paths ending at the sink of v's boundary path,
     the trivial path included; INFINITE when a cycle reaches that sink.
+    ValueError, with the reason, unless v is a line point."""
+    status = line_points(g).per_vertex.get(v)
+    if status is None:
+        raise ValueError(f"{v!r} is not a vertex of the graph")
+    if not status.is_line_point:
+        raise ValueError(f"{v!r} is not a line point: {status.failure_reason}")
+    return status.orbit_size
 
-    While no vertex on the walk from v emits two edges, the walk is all that
-    v reaches, so v reaches a cycle exactly when the walk revisits a vertex.
+
+def _path_counts(g: DirectedGraph, targets) -> dict[str, object]:
+    """The number of finite paths ending at each target and at each of its
+    ancestors, the trivial path included; INFINITE where a cycle reaches.
+
+    Paths ending at w are the trivial one and a path ending at a source of
+    an edge into w, extended by that edge.  Peeling the whole graph puts
+    each vertex after its sources and leaves over exactly the vertices a
+    cycle reaches, so one pass in peel order counts every ancestor.
     """
-    walked = set()
-    w = v
-    while outs := g.out_edges(w):
-        if len(outs) > 1:
-            raise ValueError(f"{v!r} is not a line point (branching future)")
-        walked.add(w)
-        w = outs[0][2]
-        if w in walked:
-            raise ValueError(f"{v!r} is not a line point (reaches a cycle)")
-    return _count_paths_into(g, w)
-
-
-def _count_paths_into(g: DirectedGraph, sink: str):
-    """The number of finite paths ending at the sink, the trivial path
-    included, or INFINITE when a cycle reaches the sink.
-
-    paths[v] counts the paths from v to the sink.  It is final once every
-    edge from v into the sink's ancestors has added its target's count, so
-    the ancestors are visited in reverse topological order (Kahn's
-    algorithm on the reversed edges).  A cycle among the ancestors leaves
-    its vertices unvisited.
-    """
-    sources_into: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for _, src, rng in g.edges:
-        sources_into[rng].append(src)
-    ancestors = {sink}
-    frontier = [sink]
-    while frontier:
-        for src in sources_into[frontier.pop()]:
-            if src not in ancestors:
-                ancestors.add(src)
-                frontier.append(src)
-    pending = dict.fromkeys(ancestors, 0)  # edges into ancestors not yet added
-    for _, src, rng in g.edges:
-        if rng in ancestors:
-            pending[src] += 1
-    paths = dict.fromkeys(ancestors, 0)
-    paths[sink] = 1
-    ready = [sink]
-    visited = 0
-    while ready:
-        w = ready.pop()
-        visited += 1
-        for src in sources_into[w]:
-            paths[src] += paths[w]
-            pending[src] -= 1
-            if not pending[src]:
-                ready.append(src)
-    if visited < len(ancestors):
-        return INFINITE
-    return sum(paths.values())
+    ancestors = _least_reached(g, targets)
+    order, fed = _peel(g.vertices, g.successors)
+    counts: dict[str, object] = dict.fromkeys(fed, INFINITE)
+    for w in order:
+        if w in ancestors:
+            counts[w] = 1 + sum(counts[u] for u in g.predecessors(w))
+    return counts
 
 
 def _paths_into(g: DirectedGraph, sink: str):
     """All finite paths ending at the given vertex, trivial path first,
-    then by length and edge declaration order.  Finite because the search
-    is only used when no cycle reaches the vertex."""
+    then breadth first along in-edges in declaration order.  Finite because
+    the search is only used when no cycle reaches the vertex."""
     queue = deque([BoundaryPath(start=sink, edge_ids=(), sink=sink)])
     while queue:
         path = queue.popleft()
         yield path
-        for eid, src, rng in g.edges:
-            if rng == path.start:
-                queue.append(
-                    BoundaryPath(start=src, edge_ids=(eid,) + path.edge_ids, sink=sink)
-                )
+        for eid, src, _ in g.in_edges(path.start):
+            queue.append(BoundaryPath(start=src, edge_ids=(eid,) + path.edge_ids, sink=sink))
 
 
 # -- socle report -------------------------------------------------------------
@@ -350,7 +341,8 @@ def lpa_socle(g: DirectedGraph) -> GraphSocleReport:
     report = line_points(g)
     blocks = tuple(
         SocleBlock(class_representative=w, size=report.sink_sizes[w])
-        for w in sorted(report.sink_sizes, key=g.vertices.index)
+        for w in g.vertices
+        if w in report.sink_sizes
     )
     return GraphSocleReport(
         line_points=report.line_points,
@@ -364,7 +356,7 @@ def lpa_socle(g: DirectedGraph) -> GraphSocleReport:
 
 
 def _require_acyclic(g: DirectedGraph) -> None:
-    if g.vertices_on_cycles():
+    if _peel(g.vertices, g.successors)[1]:
         raise GraphHasCycleError("the graph has a cycle; boundary paths are not all finite")
 
 
@@ -373,16 +365,13 @@ def boundary_paths(g: DirectedGraph) -> list[BoundaryPath]:
     _require_acyclic(g)
     edge_order = {e[0]: i for i, e in enumerate(g.edges)}
     paths = []
-    for sink in g.vertices:
-        if g.is_sink(sink):
-            paths.extend(_paths_into(g, sink))
-    paths.sort(
-        key=lambda p: (
-            g.vertices.index(p.sink),
-            len(p.edge_ids),
-            tuple(edge_order[e] for e in p.edge_ids),
+    for sink in filter(g.is_sink, g.vertices):
+        paths.extend(
+            sorted(
+                _paths_into(g, sink),
+                key=lambda p: (len(p.edge_ids), tuple(edge_order[e] for e in p.edge_ids)),
+            )
         )
-    )
     return paths
 
 
@@ -394,7 +383,9 @@ def materialize_boundary_groupoid(g: DirectedGraph) -> FiniteGroupoid:
     groupoid of its sink's paths.  The result passes the full validator.
     """
     _require_acyclic(g)
-    total = sum(_count_paths_into(g, v) ** 2 for v in g.vertices if g.is_sink(v))
+    sinks = list(filter(g.is_sink, g.vertices))
+    counts = _path_counts(g, sinks)
+    total = sum(counts[s] ** 2 for s in sinks)
     if total > MAX_GROUPOID_ELEMENTS:
         raise SizeCapExceeded(
             f"materialised groupoid would have {total} elements, cap is {MAX_GROUPOID_ELEMENTS}"

@@ -227,12 +227,15 @@ def validate(
     comp = dict(compose)
 
     # Composition is defined exactly on the composable pairs.
+    by_range: dict[str, list[str]] = {}
+    for c in elements:
+        by_range.setdefault(r[c], []).append(c)
     for (a, b) in comp:
         if s[a] != r[b]:
             violations.append(f"composition declared on the non-composable pair ({a!r}, {b!r})")
     for a in elements:
-        for b in elements:
-            if s[a] == r[b] and (a, b) not in comp:
+        for b in by_range.get(s[a], ()):
+            if (a, b) not in comp:
                 violations.append(f"missing composition for the composable pair ({a!r}, {b!r})")
     if violations:
         raise GroupoidValidationError(violations)
@@ -268,9 +271,6 @@ def validate(
             violations.append(f"source/range of the product ({a!r}, {b!r}) -> {c!r} are wrong")
 
     # Associativity over all composable triples, with witnesses.
-    by_range: dict[str, list[str]] = {}
-    for c in elements:
-        by_range.setdefault(r[c], []).append(c)
     for (a, b), ab in comp.items():
         for c in by_range.get(s[b], ()):
             left = comp.get((ab, c))

@@ -1,5 +1,6 @@
-"""Test-only references: small linear-algebra helpers and the exhaustive
-minimality route that the corner decision in steinberg.socle replaced.
+"""Test-only references: small linear-algebra helpers, the exhaustive
+minimality route that the corner decision in steinberg.socle replaced, and
+the per-vertex reachability that steinberg.graphs' flood and peel replaced.
 
 Nothing here is part of the library; tests compare the engine against these
 slow, assumption-free versions.
@@ -8,6 +9,7 @@ slow, assumption-free versions.
 from __future__ import annotations
 
 from steinberg.fields import PrimeField
+from steinberg.graphs import INFINITE, DirectedGraph, LinePointReport, VertexStatus
 from steinberg.limits import check_enum_size
 from steinberg.linalg import EchelonBasis, rref
 from steinberg.socle import LeftIdeal, MinimalityReport, _decide, _nonzero_combos, _spans
@@ -51,3 +53,57 @@ def generated_dimension(f) -> int:
     algebra = f.algebra
     products = [(algebra.basis_element(g) * f).to_vector() for g in algebra.groupoid.elements]
     return span_dim(algebra.field, products, algebra.dim)
+
+
+def reachable_from(g: DirectedGraph, v: str) -> set[str]:
+    """Every vertex a path from v ends at, v included."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        for t in g.successors(frontier.pop()):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
+def vertices_on_cycles(g: DirectedGraph) -> set[str]:
+    return {v for v in g.vertices if any(v in reachable_from(g, t) for t in g.successors(v))}
+
+
+def count_paths_into(g: DirectedGraph, sink: str):
+    """Finite paths ending at the sink, trivial path included, summed one
+    in-edge at a time; INFINITE when a cycle reaches the sink."""
+    if any(sink in reachable_from(g, c) for c in vertices_on_cycles(g)):
+        return INFINITE
+
+    def count(w: str) -> int:
+        return 1 + sum(count(src) for _, src, rng in g.edges if rng == w)
+
+    return count(sink)
+
+
+def line_point_statuses(g: DirectedGraph) -> LinePointReport:
+    """Each vertex's status from its own reachable set: the least branching
+    vertex it reaches, else the least cycle vertex, else its walk to a sink."""
+    cycles = vertices_on_cycles(g)
+    statuses, points, sizes = {}, [], {}
+    for v in g.vertices:
+        reachable = reachable_from(g, v)
+        branching = sorted(w for w in reachable if len(g.successors(w)) > 1)
+        cyclic = sorted(reachable & cycles)
+        if branching:
+            reason = f"more than one edge leaves {branching[0]!r}"
+        elif cyclic:
+            reason = f"the boundary path is eventually periodic (cycle through {cyclic[0]!r})"
+        else:
+            edge_ids, w = [], v
+            while g.successors(w):
+                eid, _, w = next(e for e in g.edges if e[1] == w)
+                edge_ids.append(eid)
+            sizes.setdefault(w, count_paths_into(g, w))
+            points.append(v)
+            statuses[v] = VertexStatus(v, True, ".".join(edge_ids) or w, None, sizes[w])
+            continue
+        statuses[v] = VertexStatus(v, False, None, reason, None)
+    return LinePointReport(line_points=tuple(points), per_vertex=statuses, sink_sizes=sizes)

@@ -1,14 +1,18 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from references import line_point_statuses, reachable_from, vertices_on_cycles
 from steinberg.algebra import SteinbergAlgebra
 from steinberg.fields import Rationals
 from steinberg.graphs import (
     INFINITE,
     GraphHasCycleError,
-    _count_paths_into,
+    _path_counts,
     _paths_into,
     boundary_paths,
     from_json_obj,
@@ -103,8 +107,10 @@ def test_two_lines_into_one_sink():
 def test_orbit_size_validates_line_points():
     g = loop_with_exit()
     assert orbit_size(g, "w") is INFINITE
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than one edge leaves 'c'"):
         orbit_size(g, "c")
+    with pytest.raises(ValueError, match="not a vertex"):
+        orbit_size(g, "nowhere")
     assert orbit_size(line_graph(4), "v2") == 4
 
 
@@ -136,12 +142,85 @@ def test_path_counts_match_enumeration_on_random_graphs():
                 a, b = min(a, b), max(a, b)
             edges.append((f"e{j}", vertices[a], vertices[b]))
         g = make_graph(vertices, edges)
-        cycles = g.vertices_on_cycles()
+        cycles = vertices_on_cycles(g)
         for sink in filter(g.is_sink, vertices):
-            if any(sink in g.reachable_from(c) for c in cycles):
-                assert _count_paths_into(g, sink) is INFINITE
+            if any(sink in reachable_from(g, c) for c in cycles):
+                assert _path_counts(g, [sink])[sink] is INFINITE
             else:
-                assert _count_paths_into(g, sink) == sum(1 for _ in _paths_into(g, sink))
+                assert _path_counts(g, [sink])[sink] == sum(1 for _ in _paths_into(g, sink))
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 10 vertices whose sorted order is not their declaration order,
+    and up to 16 edges, loops and parallel edges included."""
+    names = draw(st.permutations([f"{c}{i}" for i, c in enumerate("qzbkamxcwd")]))
+    vertices = names[: draw(st.integers(1, 10))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)), max_size=16))
+    return make_graph(vertices, [(f"e{j}", a, b) for j, (a, b) in enumerate(pairs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_line_points_match_per_vertex_reachability(g):
+    report, expected = line_points(g), line_point_statuses(g)
+    assert report.line_points == expected.line_points
+    assert report.per_vertex == expected.per_vertex
+    assert list(report.per_vertex) == list(g.vertices)
+    assert report.sink_sizes == expected.sink_sizes
+    for v, status in expected.per_vertex.items():
+        if status.is_line_point:
+            assert orbit_size(g, v) == status.orbit_size
+        else:
+            with pytest.raises(ValueError, match=re.escape(status.failure_reason)):
+                orbit_size(g, v)
+
+
+def test_star_answers_promptly(time_limit):
+    leaves = [f"s{i}" for i in range(10_000)]
+    g = make_graph(["hub"] + leaves, [(f"e{i}", "hub", s) for i, s in enumerate(leaves)])
+    with time_limit(3):
+        report = lpa_socle(g)
+    assert report.line_points == tuple(leaves)
+    assert [b.size for b in report.blocks] == [2] * len(leaves)
+    assert report.per_vertex["hub"].failure_reason == "more than one edge leaves 'hub'"
+
+
+def test_cycle_with_a_tail_answers_promptly(time_limit):
+    n = 50_000
+    vertices = [f"c{i}" for i in range(n)] + [f"t{i}" for i in range(100)]
+    edges = [(f"e{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+    edges += [(f"f{i}", f"t{i}", f"t{i + 1}") for i in range(99)] + [("f99", "t99", "c7")]
+    with time_limit(3):
+        report = lpa_socle(make_graph(vertices, edges))
+    assert report.socle_is_zero
+    reasons = {st.failure_reason for st in report.per_vertex.values()}
+    assert reasons == {"the boundary path is eventually periodic (cycle through 'c0')"}
+
+
+def test_chain_into_a_branch_answers_promptly(time_limit):
+    n = 20_000
+    vertices = [f"v{i}" for i in range(n)] + ["a", "b"]
+    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+    edges += [("ea", f"v{n - 1}", "a"), ("eb", f"v{n - 1}", "b")]
+    with time_limit(3):
+        report = lpa_socle(make_graph(vertices, edges))
+    assert report.line_points == ("a", "b")
+    assert [(b.class_representative, b.size) for b in report.blocks] == [("a", n + 1), ("b", n + 1)]
+    assert report.per_vertex["v0"].failure_reason == f"more than one edge leaves 'v{n - 1}'"
+
+
+def test_comb_answers_promptly(time_limit):
+    # every tooth ends at its own sink, and each sink's ancestors are the
+    # whole spine before it
+    n = 10_000
+    vertices = [f"v{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
+    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+    edges += [(f"f{i}", f"v{i}", f"s{i}") for i in range(n)]
+    with time_limit(3):
+        report = lpa_socle(make_graph(vertices, edges))
+    assert report.line_points == (f"v{n - 1}",) + tuple(f"s{i}" for i in range(n))
+    assert [b.size for b in report.blocks] == list(range(2, n + 2))
 
 
 def test_boundary_paths_order_and_serialization():
