@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .groupoid import FiniteGroupoid, validate
-from .limits import MAX_GROUPOID_ELEMENTS, SizeCapExceeded
+from .limits import MAX_BOUNDARY_PATH_EDGES, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
 
 
 class _Infinite:
@@ -225,11 +225,24 @@ def line_points(g: DirectedGraph) -> LinePointReport:
     """Each vertex's status.  A vertex that reaches a branching vertex is
     named by the least one.  The others emit at most one edge each, so
     peeling them leaves exactly their cycles, and a vertex that reaches
-    one is named by the least cycle vertex it reaches."""
+    one is named by the least cycle vertex it reaches.  The rest are line
+    points; the peel puts each before its successor, so one backward pass
+    sums their path lengths, which are refused over
+    MAX_BOUNDARY_PATH_EDGES before any walk is built."""
     branching = _least_reached(g, (v for v in g.vertices if len(g.out_edges(v)) > 1))
-    _, cycles = _peel([v for v in g.vertices if v not in branching], g.successors)
+    order, cycles = _peel([v for v in g.vertices if v not in branching], g.successors)
     cyclic = _least_reached(g, cycles)
-    walks = {v: _unique_walk(g, v) for v in g.vertices if v not in branching and v not in cyclic}
+    lengths: dict[str, int] = {}
+    for v in reversed(order):
+        if v not in cyclic:
+            lengths[v] = sum(1 + lengths[w] for w in g.successors(v))
+    total = sum(lengths.values())
+    if total > MAX_BOUNDARY_PATH_EDGES:
+        raise SizeCapExceeded(
+            f"the boundary paths of the line points have {total} edges, "
+            f"cap is {MAX_BOUNDARY_PATH_EDGES}"
+        )
+    walks = {v: _unique_walk(g, v) for v in g.vertices if v in lengths}
     counts = _path_counts(g, {w.sink for w in walks.values()})
     sizes = {w.sink: counts[w.sink] for w in walks.values()}  # by sink, in line-point order
     statuses = {}

@@ -13,23 +13,13 @@ ENUM_CAP = 1 << 20
 
 ENUM_CAP_ENV = "STEINBERG_MAX_ENUM"
 
+# Ceiling on the edges of all boundary paths a graph report prints: every
+# line point prints its whole path, so a line of V vertices prints ~V**2 / 2.
+MAX_BOUNDARY_PATH_EDGES = 1 << 22
+
 
 class SizeCapExceeded(RuntimeError):
     """An input is larger than the cap a routine is willing to handle."""
-
-
-def effective_enum_cap(max_enum: int | None = None) -> int:
-    """The enumeration cap, never above ENUM_CAP.
-
-    ``max_enum`` (a function argument or the STEINBERG_MAX_ENUM environment
-    variable) may lower the cap but never raise it.
-    """
-    cap = ENUM_CAP
-    if max_enum is not None:
-        if max_enum < 1:
-            raise ValueError("enumeration cap must be positive")
-        cap = min(cap, max_enum)
-    return cap
 
 
 def enum_cap_from_env() -> int | None:
@@ -46,8 +36,16 @@ def enum_cap_from_env() -> int | None:
 
 
 def check_enum_size(q: int, dimension: int, max_enum: int | None = None) -> int:
-    """Return q ** dimension if it is within the cap, else raise SizeCapExceeded."""
-    cap = effective_enum_cap(max_enum)
+    """Return q ** dimension if it is within the cap, else raise SizeCapExceeded.
+
+    The cap is ENUM_CAP.  ``max_enum`` (a function argument or the
+    STEINBERG_MAX_ENUM environment variable) may lower it but never raise it.
+    """
+    cap = ENUM_CAP
+    if max_enum is not None:
+        if max_enum < 1:
+            raise ValueError("enumeration cap must be positive")
+        cap = min(cap, max_enum)
     total = q**dimension
     if total > cap:
         raise SizeCapExceeded(

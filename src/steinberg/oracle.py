@@ -16,6 +16,9 @@ chunk come from one gather through a precomputed index table.  Row
 reduction delays reduction mod p: entries live in the narrowest unsigned
 type that holds every sum a reduction accumulates between its reductions
 mod p, and only pivot columns and pivot rows are reduced along the way.
+Reduced echelon forms are canonical: a chunk's ideals are deduplicated by
+their bytes, and membership in an echelon span is one matrix product,
+because a member's entries at the pivot columns are its coefficients.
 The engine (socle module) deliberately shares no linear algebra with this
 module.
 """
@@ -95,15 +98,6 @@ def _line_ranges(q: int, n: int) -> list[tuple[int, int]]:
 
 def _chunk_rows_for(n: int) -> int:
     return max(256, (1 << 21) // max(n * n, 1))
-
-
-def _hash_vector(length: int) -> np.ndarray:
-    out = np.empty(length, dtype=np.uint64)
-    x = 0x9E3779B97F4A7C15
-    for i in range(length):
-        x = (x * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        out[i] = x | 1
-    return out
 
 
 def _accumulator_dtype(p: int, cols: int) -> type:
@@ -204,19 +198,19 @@ def _products(chunk: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
     return np.take(padded, table, axis=1)
 
 
-def _reduce_mod_basis(vec: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
-    v = vec.copy() % p
-    for row in basis:
-        pivots = np.nonzero(row)[0]
-        if len(pivots) == 0:
-            continue
-        lead = pivots[0]
-        if v[lead]:
-            v = (v - v[lead] * row) % p
-    return v
+def _in_span(vectors: np.ndarray, rows: np.ndarray, p: int) -> bool:
+    """Whether every vector lies in the row space of rows, which are reduced
+    echelon rows over GF(p) with no zero row.
 
-def _subspace_leq(small: np.ndarray, large: np.ndarray, p: int) -> bool:
-    return all(not _reduce_mod_basis(row, large, p).any() for row in small)
+    The coordinates of a member at the pivot columns are its coefficients,
+    so it equals that combination of the rows.  The products run in uint64:
+    each sum has at most n terms below p**2, within the bound that
+    _accumulator_dtype(p, n) enforces on every reduction of width n.
+    """
+    pivots = (rows != 0).argmax(axis=1)
+    vectors = vectors.astype(np.uint64) % p
+    combos = vectors[:, pivots] @ rows.astype(np.uint64) % p
+    return bool((combos == vectors).all())
 
 
 def _enumerate_ideals(
@@ -229,24 +223,18 @@ def _enumerate_ideals(
     p = _require_prime_field(algebra)
     n = algebra.dim
     check_enum_size(p, n, max_enum)
-    hash_vec = _hash_vector(algebra.dim * n)
     seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     for chunk in _chunks(p, n, _line_ranges(p, n), _chunk_rows_for(n)):
         stacks = products(chunk)
         ranks, reduced = _batched_rref(stacks, p)
-        # Zero rows pad every reduced matrix, so whole-matrix bytes are a
-        # canonical key.  Deduplicate in bulk on a 64-bit hash of the rows,
-        # keeping first occurrences; a full comparison against each hash
-        # representative catches collisions and falls back to exact keys.
-        flat = reduced.reshape(chunk.shape[0], -1)
-        hashes = flat.astype(np.uint64) @ hash_vec
-        _, first_indices, inverse = np.unique(
-            hashes, return_index=True, return_inverse=True
-        )
-        if (flat != flat[first_indices[inverse]]).any():
-            _, first_indices = np.unique(flat, axis=0, return_index=True)
-        for i in sorted(int(ix) for ix in first_indices):
-            key = flat[i].tobytes()
+        # Zero rows pad every reduced matrix, so its bytes in the narrowest
+        # type holding p - 1 are a canonical key; np.unique keeps the first
+        # occurrence of each.
+        flat = reduced.reshape(chunk.shape[0], -1).astype(np.min_scalar_type(p - 1))
+        keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0]
+        _, first_indices = np.unique(keys, return_index=True)
+        for i in np.sort(first_indices):
+            key = keys[i].tobytes()
             if key not in seen:
                 seen[key] = (reduced[i, : ranks[i]].copy(), chunk[i].copy())
     return [(key, rows, gen) for key, (rows, gen) in seen.items()]
@@ -259,7 +247,7 @@ def _minimal_among(
     for key, rows, gen in ideals:
         is_minimal = True
         for _, other_rows, _ in ideals:
-            if other_rows.shape[0] < rows.shape[0] and _subspace_leq(other_rows, rows, p):
+            if other_rows.shape[0] < rows.shape[0] and _in_span(other_rows, rows, p):
                 is_minimal = False
                 break
         if is_minimal:
@@ -321,9 +309,8 @@ def _socle(algebra: SteinbergAlgebra, minimal: list[LeftIdeal]) -> LeftIdeal:
         ranks, reduced = _batched_rref(stacked[None, :, :], p)
         rows = reduced[0, : ranks[0]]
     for table in _gather_tables(algebra):
-        for image in _products(rows, table, p).reshape(-1, algebra.dim):
-            if _reduce_mod_basis(image, rows, p).any():
-                raise RuntimeError("socle failed the two-sided closure check")
+        if not _in_span(_products(rows, table, p).reshape(-1, algebra.dim), rows, p):
+            raise RuntimeError("socle failed the two-sided closure check")
     generators = tuple(i.generators[0] for i in minimal)
     return _ideal_from_rows(algebra, rows, generators, two_sided=True)
 

@@ -251,27 +251,6 @@ def _nonzero_combos(field: PrimeField, rows: list[list]) -> Iterator[list]:
         yield out
 
 
-def _decide(
-    algebra: SteinbergAlgebra,
-    vectors: Iterable[list],
-    generates: Callable[[list], bool],
-    method: str,
-    dimension: int,
-) -> MinimalityReport:
-    """Minimal iff every nonzero vector generates the whole ideal; the first
-    vector that does not is the witness."""
-    is_zero = algebra.field.is_zero
-    for vec in vectors:
-        if not all(map(is_zero, vec)) and not generates(vec):
-            return MinimalityReport(
-                minimal=False,
-                method=method,
-                dimension=dimension,
-                witness=algebra.from_vector(vec),
-            )
-    return MinimalityReport(minimal=True, method=method, dimension=dimension)
-
-
 def _restrict(row: list, keep: list[bool], zero) -> list:
     """The vector of 1_U * f: the entries of f on the arrows whose range lies
     in the unit set U, marked column by column in keep."""
@@ -364,8 +343,8 @@ def is_minimal_left_ideal(
         images = (algebra.left_action(h, vec) for h in isotropy)
         return _spans(field, n, images, corner.dim)
 
-    vectors = _nonzero_combos(field, corner.rows)
-    return _decide(algebra, vectors, generates, f"corner exhaustive over GF({field.p})", dim)
+    witness = next((v for v in _nonzero_combos(field, corner.rows) if not generates(v)), None)
+    return answer(witness is None, f"corner exhaustive over GF({field.p})", witness)
 
 
 # -- condition (LP) and the socle ------------------------------------------------
@@ -557,42 +536,23 @@ def corner_minimality_transfer(
 ) -> MinimalityReport:
     """Check that e A a is minimal as a left ideal of the corner e A e.
 
-    Preconditions: e is an idempotent, a = e a e, and A a is a minimal left
-    ideal, as decided by is_minimal_left_ideal (which needs the certificate
-    over the rationals when A a has a nontrivial isotropy corner of
-    dimension > 1).  Minimality inside e A e is tested exhaustively over
-    prime fields and on the corner spanning set over the rationals.
+    Preconditions, each checked: e is an idempotent, a = e a e, and A a is a
+    minimal left ideal, as decided by is_minimal_left_ideal (which needs the
+    certificate over the rationals when A a has a nontrivial isotropy corner
+    of dimension > 1).  They settle the answer.  Let J != 0 be a left ideal
+    of e A e inside e A a.  Then A J is a nonzero left ideal inside A a, so
+    A J = A a by minimality, and since J = e J,
+    e A a = e A J = (e A e) J, which lies in J.  So J = e A a.  The
+    dimension is the rank of e b over a basis b of A a, which spans e A a.
     """
     algebra = e.algebra
-    field = algebra.field
     if e * e != e:
         raise ValueError("e is not idempotent")
     if e * a * e != a:
         raise ValueError("a does not lie in the corner e A e")
-    ambient = is_minimal_left_ideal(left_ideal(algebra, [a]), certificate, max_enum)
-    if not ambient.minimal:
+    ambient = left_ideal(algebra, [a])
+    if not is_minimal_left_ideal(ambient, certificate, max_enum).minimal:
         raise ValueError("A a is not a minimal left ideal")
-
-    corner_ops = []
-    for g in algebra.groupoid.elements:
-        op = e * algebra.basis_element(g) * e
-        if not op.is_zero():
-            corner_ops.append(op)
-
-    corner_ideal = EchelonBasis(field, algebra.dim)
-    for op in corner_ops:
-        corner_ideal.insert((op * a).to_vector())
-    corner_ideal.insert(a.to_vector())  # a = e * e * a lies in e A a
-    dim = corner_ideal.dim
-
-    def generates(vec: list) -> bool:
-        v = algebra.from_vector(vec)
-        return _spans(field, algebra.dim, ((op * v).to_vector() for op in corner_ops), dim)
-
-    if isinstance(field, PrimeField):
-        check_enum_size(field.p, dim, max_enum)
-        vectors = _nonzero_combos(field, [list(r) for r in corner_ideal.rows])
-        return _decide(algebra, vectors, generates, f"corner exhaustive over GF({field.p})", dim)
-
-    spanning = [a.to_vector()] + [(op * a).to_vector() for op in corner_ops]
-    return _decide(algebra, spanning, generates, "corner spanning set", dim)
+    corner = EchelonBasis(algebra.field, algebra.dim)
+    corner.extend((e * b).to_vector() for b in ambient.basis)
+    return MinimalityReport(minimal=True, method="corner of a minimal ideal", dimension=corner.dim)

@@ -1,6 +1,7 @@
 """Test-only references: small linear-algebra helpers, the exhaustive
-minimality route that the corner decision in steinberg.socle replaced, and
-the per-vertex reachability that steinberg.graphs' flood and peel replaced.
+minimality routes that the corner decision and the corner lemma in
+steinberg.socle replaced, and the per-vertex reachability that
+steinberg.graphs' flood and peel replaced.
 
 Nothing here is part of the library; tests compare the engine against these
 slow, assumption-free versions.
@@ -8,11 +9,13 @@ slow, assumption-free versions.
 
 from __future__ import annotations
 
+from itertools import product
+
 from steinberg.fields import PrimeField
 from steinberg.graphs import INFINITE, DirectedGraph, LinePointReport, VertexStatus
 from steinberg.limits import check_enum_size
 from steinberg.linalg import EchelonBasis, rref
-from steinberg.socle import LeftIdeal, MinimalityReport, _decide, _nonzero_combos, _spans
+from steinberg.socle import LeftIdeal, MinimalityReport
 
 
 def span_dim(field, rows, width: int) -> int:
@@ -29,6 +32,23 @@ def intersection_is_zero(field, basis_a: EchelonBasis, basis_b: EchelonBasis) ->
     return joint.extend(basis_b.rows) == basis_b.dim
 
 
+def _nonzero_combinations(field: PrimeField, rows: list[list]):
+    """Every combination of the rows with not all coefficients zero, the
+    coefficient tuples in lexicographic order, first row most significant."""
+    for coeffs in product(range(field.p), repeat=len(rows)):
+        if any(coeffs):
+            yield [sum(c * x for c, x in zip(coeffs, col)) % field.p for col in zip(*rows)]
+
+
+def _first_non_generator(algebra, vectors, images, dim: int, method: str) -> MinimalityReport:
+    """Minimal iff the images of every vector span dim dimensions; the first
+    vector whose images do not is the witness."""
+    for vec in vectors:
+        if span_dim(algebra.field, images(vec), algebra.dim) != dim:
+            return MinimalityReport(False, method, dim, algebra.from_vector(vec))
+    return MinimalityReport(True, method, dim)
+
+
 def exhaustive_minimality(ideal: LeftIdeal, max_enum: int | None = None) -> MinimalityReport:
     """Minimal iff every one of the q^dim - 1 nonzero vectors of the ideal
     generates the whole ideal under all |G| left translates; the first vector
@@ -39,12 +59,35 @@ def exhaustive_minimality(ideal: LeftIdeal, max_enum: int | None = None) -> Mini
     if not isinstance(field, PrimeField):
         raise ValueError("the exhaustive reference runs over prime fields only")
     check_enum_size(field.p, dim, max_enum)
+    return _first_non_generator(
+        algebra,
+        _nonzero_combinations(field, ideal.basis_vectors()),
+        lambda vec: [algebra.left_action(g, vec) for g in range(n)],
+        dim,
+        f"exhaustive over GF({field.p})",
+    )
 
-    def generates(vec: list) -> bool:
-        return _spans(field, n, (algebra.left_action(g, vec) for g in range(n)), dim)
 
-    vectors = _nonzero_combos(field, ideal.basis_vectors())
-    return _decide(algebra, vectors, generates, f"exhaustive over GF({field.p})", dim)
+def exhaustive_corner_transfer(e, a, max_enum: int | None = None) -> MinimalityReport:
+    """Whether e A a is a minimal left ideal of the corner e A e, by brute
+    force: every nonzero vector of e A a must generate it under the corner
+    elements e 1_g e.  GF(p) only, subject to the enumeration cap; it checks
+    none of the preconditions that settle the answer in the library."""
+    algebra = e.algebra
+    field = algebra.field
+    if not isinstance(field, PrimeField):
+        raise ValueError("the exhaustive reference runs over prime fields only")
+    basis = [algebra.basis_element(g) for g in algebra.groupoid.elements]
+    corner_ops = [e * b * e for b in basis]
+    span = rref(field, [(e * b * a).to_vector() for b in basis], algebra.dim)
+    check_enum_size(field.p, span.dim, max_enum)
+    return _first_non_generator(
+        algebra,
+        _nonzero_combinations(field, span.rows),
+        lambda vec: [(op * algebra.from_vector(vec)).to_vector() for op in corner_ops],
+        span.dim,
+        f"corner exhaustive over GF({field.p})",
+    )
 
 
 def generated_dimension(f) -> int:

@@ -251,6 +251,20 @@ def test_graph_socle_materialize_refuses_oversized_graphs(run, tmp_path, time_li
     assert "cap" in err
 
 
+def test_graph_socle_refuses_long_boundary_path_output(run, tmp_path, time_limit):
+    # a 5 000-vertex line prints 12.5 M boundary-path edges, over the cap
+    n = 5000
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [[f"e{i}", f"v{i}", f"v{i + 1}"] for i in range(n - 1)]
+    path = tmp_path / "line5000.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    with time_limit(2):
+        code, out, err = run("graph-socle", str(path))
+    assert code == 65
+    assert out == ""
+    assert "cap" in err
+
+
 def test_cross_check_mismatch_exits_70(run, files, monkeypatch):
     # force the symbolic route to claim a wrong block size
     real = lpa_socle

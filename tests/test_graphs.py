@@ -128,6 +128,17 @@ def test_long_line_graph_answers_promptly(time_limit):
     assert [(b.class_representative, b.size) for b in report.blocks] == [("v500", 500)]
 
 
+def test_boundary_path_edges_are_capped_before_any_walk(monkeypatch):
+    # a line of n vertices has boundary paths of n (n - 1) / 2 edges in all
+    monkeypatch.setattr("steinberg.graphs.MAX_BOUNDARY_PATH_EDGES", 45)
+    assert len(line_points(line_graph(10)).line_points) == 10
+    walked = []
+    monkeypatch.setattr("steinberg.graphs._unique_walk", lambda g, v: walked.append(v))
+    with pytest.raises(SizeCapExceeded, match="55 edges"):
+        line_points(line_graph(11))
+    assert walked == []
+
+
 def test_path_counts_match_enumeration_on_random_graphs():
     rng = random.Random(41)
     for trial in range(60):

@@ -20,6 +20,7 @@ from steinberg.oracle import (
     _accumulator_dtype,
     _batched_rref,
     _gather_tables,
+    _in_span,
     _products,
     oracle_is_semiprime,
     oracle_minimal_ideals,
@@ -253,6 +254,34 @@ def test_batched_rref_stays_exact_at_the_widest_narrow_type(p):
     ranks, reduced = _batched_rref(mat[None], p)
     expected = rref(PrimeField(p), mat.tolist(), cols).canonical()
     assert reduced[0, : ranks[0]].tolist() == [list(row) for row in expected]
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 65537])
+@pytest.mark.parametrize("kind", ["zero", "full rank", "rank deficient"])
+def test_in_span_matches_reference_membership(p, kind):
+    cols = 7
+    gen = np.random.default_rng(p)
+    if kind == "zero":
+        mat = np.zeros((3, cols), dtype=np.int64)
+    elif kind == "full rank":
+        mat = np.eye(cols, dtype=np.int64) + np.triu(gen.integers(0, p, (cols, cols)), 1)
+    else:
+        mat = _rank_deficient(gen, p, 5, cols)
+    field = PrimeField(p)
+    basis = rref(field, mat.tolist(), cols)
+    rows = np.array(basis.rows, dtype=np.int64).reshape(-1, cols)
+    members = gen.integers(0, p, (10, rows.shape[0])) @ rows % p
+    # entries in [0, 2p) check that the vectors are reduced first
+    vectors = np.vstack(
+        [members + p * gen.integers(0, 2, members.shape), gen.integers(0, 2 * p, (20, cols))]
+    )
+    inside = [basis.contains(v.tolist()) for v in vectors]
+    assert inside[:10] == [True] * 10
+    assert all(inside) == (kind == "full rank")
+    assert [_in_span(v[None], rows, p) for v in vectors] == inside
+    assert _in_span(vectors[inside], rows, p)
+    assert _in_span(vectors, rows, p) == all(inside)
+    assert _in_span(vectors[:0], rows, p)
 
 
 def test_large_primes_cost_no_table_of_inverses(time_limit):

@@ -37,7 +37,12 @@ from steinberg.socle import (
     two_sided_ideal,
 )
 
-from references import exhaustive_minimality, generated_dimension, intersection_is_zero
+from references import (
+    exhaustive_corner_transfer,
+    exhaustive_minimality,
+    generated_dimension,
+    intersection_is_zero,
+)
 
 Q = Rationals()
 
@@ -618,7 +623,7 @@ def test_corner_transfer_prime_field():
     a = algebra.basis_element("a")
     report = corner_minimality_transfer(e, a)
     assert report.minimal
-    assert report.method == "corner exhaustive over GF(2)"
+    assert report.method == "corner of a minimal ideal"
     assert report.dimension == 1
 
 
@@ -629,7 +634,8 @@ def test_corner_transfer_rationals():
     e = algebra.basis_element("a")
     report = corner_minimality_transfer(e, cert.generator, cert)
     assert report.minimal
-    assert report.method == "corner spanning set"
+    assert report.method == "corner of a minimal ideal"
+    assert report.dimension == 1
 
 
 def test_corner_transfer_rejects_bad_inputs():
@@ -640,3 +646,31 @@ def test_corner_transfer_rejects_bad_inputs():
         corner_minimality_transfer(e + e, e)  # not idempotent
     with pytest.raises(ValueError):
         corner_minimality_transfer(e, algebra.basis_element("b"))  # outside the corner
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 16),
+    max_isotropy=st.integers(1, 6),
+    designator=st.sampled_from(["f2", "f3"]),
+    idempotent=st.booleans(),
+)
+def test_corner_transfer_matches_the_exhaustive_route(
+    seed, size, max_isotropy, designator, idempotent
+):
+    # e is the certificate idempotent, or 1_U for a set U of units holding x
+    rng = random.Random(seed)
+    g = random_groupoid(rng, size, principal=False, max_isotropy=max_isotropy)
+    algebra = SteinbergAlgebra(g, field_from_designator(designator))
+    x = rng.choice(g.units())
+    cert = minimal_ideal_generator(algebra, x)
+    a = cert.generator
+    if idempotent and cert.flavour == DIVISION_IDEMPOTENT:
+        e = a
+    else:
+        units = [x] + [u for u in g.units() if u != x and rng.random() < 0.5]
+        e = algebra.element({u: algebra.field.one for u in units})
+    report = corner_minimality_transfer(e, a, cert)
+    reference = exhaustive_corner_transfer(e, a)
+    assert (report.minimal, report.dimension) == (reference.minimal, reference.dimension)
