@@ -19,7 +19,7 @@ from . import graphs, groupoid
 from .algebra import SteinbergAlgebra, element_to_obj
 from .fields import PrimeField, field_from_designator
 from .groupoid import GroupoidValidationError
-from .limits import SizeCapExceeded, enum_cap_from_env
+from .limits import SizeCapExceeded
 from .oracle import oracle_is_semiprime, oracle_minimal_ideals, oracle_socle
 from .socle import (
     LPViolationError,
@@ -143,9 +143,8 @@ def _cmd_oracle(args) -> int:
     if not isinstance(field, PrimeField):
         raise _UsageError("the oracle runs over prime fields only; use --field f<p>")
     algebra = SteinbergAlgebra(g, field)
-    max_enum = enum_cap_from_env()
-    minimal = oracle_minimal_ideals(algebra, max_enum)
-    socle_ideal = oracle_socle(algebra, max_enum, minimal=minimal)
+    minimal = oracle_minimal_ideals(algebra)
+    socle_ideal = oracle_socle(algebra, minimal=minimal)
     doc = {
         "schema": 1,
         "field": field.designator,
@@ -161,7 +160,7 @@ def _cmd_oracle(args) -> int:
         "witnesses": [element_to_obj(ideal.generators[0]) for ideal in minimal],
     }
     if args.semiprime:
-        report = oracle_is_semiprime(algebra, max_enum)
+        report = oracle_is_semiprime(algebra)
         doc["semiprime"] = report.semiprime
         doc["semiprime_witness"] = (
             element_to_obj(report.witness) if report.witness is not None else None
@@ -170,7 +169,7 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _materialized_cross_check(graph_obj, report, field, max_enum):
+def _materialized_cross_check(graph_obj, report, field):
     """Engine and oracle on the materialised groupoid against the symbolic
     blocks.  Returns (ok, detail dict)."""
     mat = graphs.materialize_boundary_groupoid(graph_obj)
@@ -189,7 +188,7 @@ def _materialized_cross_check(graph_obj, report, field, max_enum):
     for p in (2, 3):
         shadow = SteinbergAlgebra(mat, PrimeField(p))
         try:
-            oracle_ideal = oracle_socle(shadow, max_enum)
+            oracle_ideal = oracle_socle(shadow)
         except SizeCapExceeded:
             detail["oracle"][f"f{p}"] = "skipped (enumeration cap)"
             continue
@@ -217,9 +216,7 @@ def _cmd_graph_socle(args) -> int:
         return EXIT_OK
     field = _load_field(args.field)
     try:
-        ok, detail = _materialized_cross_check(
-            graph_obj, report, field, enum_cap_from_env()
-        )
+        ok, detail = _materialized_cross_check(graph_obj, report, field)
     except graphs.GraphHasCycleError as exc:
         raise _UsageError(str(exc)) from exc
     doc["cross_check"] = detail

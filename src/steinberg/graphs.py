@@ -62,7 +62,9 @@ class DirectedGraph:
     """A finite directed graph; edges are (id, source vertex, range vertex).
 
     Parallel edges and loops are allowed.  Edge ids, being path segments in
-    serialised boundary paths, must not collide with vertex names.
+    serialised boundary paths, must not collide with vertex names, and no
+    id may contain the separators "." (between edges) or "|" (between the
+    two paths of an arrow), or two paths could serialise alike.
     """
 
     vertices: tuple[str, ...]
@@ -108,6 +110,9 @@ def make_graph(vertices: list[str], edges: list[tuple[str, str, str]]) -> Direct
     clash = set(ids) & set(vertices)
     if clash:
         raise ValueError(f"edge ids clash with vertex names: {sorted(clash)}")
+    for name in (*vertices, *ids):
+        if "." in name or "|" in name:
+            raise ValueError(f"id {name!r} contains a path separator '.' or '|'")
     vertex_set = set(vertices)
     for eid, src, rng in edges:
         if src not in vertex_set or rng not in vertex_set:

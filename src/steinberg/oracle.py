@@ -1,14 +1,14 @@
 """Assumption-free brute force over prime fields, used to validate the engine.
 
-The oracle never reasons about isotropy or orbits.  It enumerates every
-nonzero element a of the algebra (subject to the q^dim cap), computes the
-left ideal A a as the row space of all products 1_g * a (local units put a
-itself in that span), keeps the ideals that are minimal under inclusion and
-sums them into the socle.  Right ideals a A run through the same
-enumeration with the products a * 1_g.  Either socle is verified to be
-closed under multiplication on both sides.  Semiprimeness is likewise
-decided by exhaustively searching for an absolute zero divisor, i.e. a
-nonzero a with a * 1_g * a = 0 for every g.
+The oracle never reasons about isotropy or orbits.  It enumerates one
+nonzero element a per scalar line of the algebra (subject to the fixed
+q^dim cap), computes the left ideal A a as the row space of all products
+1_g * a (local units put a itself in that span), keeps the ideals that are
+minimal under inclusion and sums them into the socle.  Right ideals a A run
+through the same enumeration with the products a * 1_g.  Either socle is
+verified to be closed under multiplication on both sides.  Semiprimeness
+is decided by the same walk (see _chunks for why it suffices), searching
+for an absolute zero divisor: a nonzero a with a * 1_g * a = 0 for all g.
 
 Everything runs on numpy arrays, processed in enumeration order in bounded
 chunks; chunking does not affect any result.  The products 1_g * a of a
@@ -69,31 +69,30 @@ def _composable_triples(algebra: SteinbergAlgebra) -> list[tuple[int, int, int]]
     ]
 
 
-def _chunks(q: int, n: int, ranges, chunk_rows: int):
-    """The coefficient vectors of the integers in each range [start, stop),
-    as base-q digits with the first coordinate (canonical basis order) most
-    significant, yielded in chunks of at most chunk_rows."""
+def _chunks(q: int, n: int):
+    """One coefficient vector per scalar line of GF(q)^n, in increasing
+    order of the integers whose base-q digits they are (first coordinate,
+    in canonical basis order, most significant), in chunks of at most
+    _chunk_rows_for(n) rows.
+
+    The representative of a line is its vector with leading nonzero digit
+    1, so the representatives are the integers in [q**m, 2*q**m) for m < n.
+    Scaling a by c != 0 changes neither the cyclic ideal a generates nor
+    whether a * A * a = 0.  And the first vector of a line in the full order
+    [1, q**n) is its representative: if a had leading digit c != 1, then
+    c^-1 * a would lie on the same line with a smaller integer value.  So
+    the first generator recorded per ideal, and the first absolute zero
+    divisor, are those of the full enumeration.
+    """
+    chunk_rows = _chunk_rows_for(n)
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start, stop in ranges:
+    for m in range(n):
+        start, stop = q**m, 2 * q**m
         while start < stop:
             upper = min(start + chunk_rows, stop)
             indices = np.arange(start, upper, dtype=np.int64)
             yield (indices[:, None] // powers[None, :]) % q
             start = upper
-
-
-def _line_ranges(q: int, n: int) -> list[tuple[int, int]]:
-    """One coefficient vector per scalar line, in the order of the full
-    enumeration [1, q**n).
-
-    Scaling a vector by a nonzero constant never changes the cyclic ideal it
-    generates, so it suffices to visit the vectors whose leading nonzero
-    coordinate is 1.  Those are the integers in [q**m, 2*q**m), and the first
-    vector of any scalar line in the full order is of this form (rescaling
-    the leading digit to 1 can only shrink the integer value), so the first
-    recorded generator per ideal is the same as under full enumeration.
-    """
-    return [(q**m, 2 * q**m) for m in range(n)]
 
 
 def _chunk_rows_for(n: int) -> int:
@@ -214,7 +213,7 @@ def _in_span(vectors: np.ndarray, rows: np.ndarray, p: int) -> bool:
 
 
 def _enumerate_ideals(
-    algebra: SteinbergAlgebra, products, max_enum: int | None
+    algebra: SteinbergAlgebra, products
 ) -> list[tuple[bytes, np.ndarray, np.ndarray]]:
     """All distinct cyclic ideal subspaces, in first-generator order.
 
@@ -222,9 +221,9 @@ def _enumerate_ideals(
     """
     p = _require_prime_field(algebra)
     n = algebra.dim
-    check_enum_size(p, n, max_enum)
+    check_enum_size(p, n)
     seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    for chunk in _chunks(p, n, _line_ranges(p, n), _chunk_rows_for(n)):
+    for chunk in _chunks(p, n):
         stacks = products(chunk)
         ranks, reduced = _batched_rref(stacks, p)
         # Zero rows pad every reduced matrix, so its bytes in the narrowest
@@ -275,9 +274,7 @@ def _ideal_from_rows(
     )
 
 
-def _minimal_ideals(
-    algebra: SteinbergAlgebra, side: str, max_enum: int | None
-) -> list[LeftIdeal]:
+def _minimal_ideals(algebra: SteinbergAlgebra, side: str) -> list[LeftIdeal]:
     """Every minimal left ideal A a (side "left", rows 1_g * a) or right
     ideal a A (side "right", rows a * 1_g), by full enumeration of the
     cyclic ones.
@@ -289,7 +286,7 @@ def _minimal_ideals(
     p = _require_prime_field(algebra)
     left, right = _gather_tables(algebra)
     table = left if side == "left" else right
-    ideals = _enumerate_ideals(algebra, lambda c: _products(c, table, p), max_enum)
+    ideals = _enumerate_ideals(algebra, lambda c: _products(c, table, p))
     return [
         _ideal_from_rows(algebra, rows, (_element(algebra, gen),), two_sided=False)
         for _, rows, gen in _minimal_among(ideals, p)
@@ -315,24 +312,18 @@ def _socle(algebra: SteinbergAlgebra, minimal: list[LeftIdeal]) -> LeftIdeal:
     return _ideal_from_rows(algebra, rows, generators, two_sided=True)
 
 
-def oracle_minimal_ideals(
-    algebra: SteinbergAlgebra, max_enum: int | None = None
-) -> list[LeftIdeal]:
+def oracle_minimal_ideals(algebra: SteinbergAlgebra) -> list[LeftIdeal]:
     """Every minimal left ideal, by full enumeration of cyclic left ideals."""
-    return _minimal_ideals(algebra, "left", max_enum)
+    return _minimal_ideals(algebra, "left")
 
 
-def oracle_minimal_right_ideals(
-    algebra: SteinbergAlgebra, max_enum: int | None = None
-) -> list[LeftIdeal]:
+def oracle_minimal_right_ideals(algebra: SteinbergAlgebra) -> list[LeftIdeal]:
     """Every minimal right ideal, the mirror enumeration of a A."""
-    return _minimal_ideals(algebra, "right", max_enum)
+    return _minimal_ideals(algebra, "right")
 
 
 def oracle_socle(
-    algebra: SteinbergAlgebra,
-    max_enum: int | None = None,
-    minimal: list[LeftIdeal] | None = None,
+    algebra: SteinbergAlgebra, minimal: list[LeftIdeal] | None = None
 ) -> LeftIdeal:
     """The sum of all minimal left ideals, verified two-sided.
 
@@ -340,18 +331,16 @@ def oracle_socle(
     enumerating a second time.
     """
     if minimal is None:
-        minimal = oracle_minimal_ideals(algebra, max_enum)
+        minimal = oracle_minimal_ideals(algebra)
     return _socle(algebra, minimal)
 
 
 def oracle_right_socle(
-    algebra: SteinbergAlgebra,
-    max_enum: int | None = None,
-    minimal: list[LeftIdeal] | None = None,
+    algebra: SteinbergAlgebra, minimal: list[LeftIdeal] | None = None
 ) -> LeftIdeal:
     """The sum of all minimal right ideals, verified two-sided."""
     if minimal is None:
-        minimal = oracle_minimal_right_ideals(algebra, max_enum)
+        minimal = oracle_minimal_right_ideals(algebra)
     return _socle(algebra, minimal)
 
 
@@ -364,18 +353,17 @@ class SemiprimeReport:
         return self.semiprime
 
 
-def oracle_is_semiprime(
-    algebra: SteinbergAlgebra, max_enum: int | None = None
-) -> SemiprimeReport:
-    """Search every nonzero a for the absolute zero divisor property
-    a * A * a = 0; the witness is the first such a in enumeration order."""
+def oracle_is_semiprime(algebra: SteinbergAlgebra) -> SemiprimeReport:
+    """Search one nonzero a per scalar line for the absolute zero divisor
+    property a * A * a = 0; the witness is the first such a in the order of
+    the full enumeration (see _chunks)."""
     p = _require_prime_field(algebra)
     n = algebra.dim
-    total = check_enum_size(p, n, max_enum)
+    check_enum_size(p, n)
     _, right = _gather_tables(algebra)
     triples = _composable_triples(algebra)
     n_g = right.shape[0]
-    for chunk in _chunks(p, n, [(1, total)], _chunk_rows_for(n)):
+    for chunk in _chunks(p, n):
         count = chunk.shape[0]
         candidates = np.ones(count, dtype=bool)
         for g in range(n_g):

@@ -260,7 +260,6 @@ def _restrict(row: list, keep: list[bool], zero) -> list:
 def is_minimal_left_ideal(
     ideal: LeftIdeal,
     certificate: MinimalIdealCertificate | None = None,
-    max_enum: int | None = None,
 ) -> MinimalityReport:
     """Decide whether a left ideal I is minimal, inside a corner 1_x A 1_x.
 
@@ -337,7 +336,7 @@ def is_minimal_left_ideal(
             "over the rationals minimality with nontrivial isotropy is decided only "
             "for certificate-generated ideals"
         )
-    check_enum_size(field.p, corner.dim, max_enum)
+    check_enum_size(field.p, corner.dim)
 
     def generates(vec: list) -> bool:
         images = (algebra.left_action(h, vec) for h in isotropy)
@@ -532,7 +531,6 @@ def corner_minimality_transfer(
     e: AlgebraElement,
     a: AlgebraElement,
     certificate: MinimalIdealCertificate | None = None,
-    max_enum: int | None = None,
 ) -> MinimalityReport:
     """Check that e A a is minimal as a left ideal of the corner e A e.
 
@@ -551,7 +549,7 @@ def corner_minimality_transfer(
     if e * a * e != a:
         raise ValueError("a does not lie in the corner e A e")
     ambient = left_ideal(algebra, [a])
-    if not is_minimal_left_ideal(ambient, certificate, max_enum).minimal:
+    if not is_minimal_left_ideal(ambient, certificate).minimal:
         raise ValueError("A a is not a minimal left ideal")
     corner = EchelonBasis(algebra.field, algebra.dim)
     corner.extend((e * b).to_vector() for b in ambient.basis)

@@ -1,7 +1,8 @@
 """Test-only references: small linear-algebra helpers, the exhaustive
 minimality routes that the corner decision and the corner lemma in
-steinberg.socle replaced, and the per-vertex reachability that
-steinberg.graphs' flood and peel replaced.
+steinberg.socle replaced, the full-order absolute zero divisor search that
+the oracle's scalar-line walk replaced, and the per-vertex reachability
+that steinberg.graphs' flood and peel replaced.
 
 Nothing here is part of the library; tests compare the engine against these
 slow, assumption-free versions.
@@ -13,7 +14,7 @@ from itertools import product
 
 from steinberg.fields import PrimeField
 from steinberg.graphs import INFINITE, DirectedGraph, LinePointReport, VertexStatus
-from steinberg.limits import check_enum_size
+from steinberg.limits import ENUM_CAP, SizeCapExceeded
 from steinberg.linalg import EchelonBasis, rref
 from steinberg.socle import LeftIdeal, MinimalityReport
 
@@ -30,6 +31,11 @@ def intersection_is_zero(field, basis_a: EchelonBasis, basis_b: EchelonBasis) ->
     """dim(U + V) = dim U + dim V exactly when U and V meet only in zero."""
     joint = rref(field, basis_a.rows, basis_a.width)
     return joint.extend(basis_b.rows) == basis_b.dim
+
+
+def _check_cap(q: int, dimension: int, cap: int) -> None:
+    if q**dimension > cap:
+        raise SizeCapExceeded(f"reference enumeration of {q}^{dimension} vectors exceeds {cap}")
 
 
 def _nonzero_combinations(field: PrimeField, rows: list[list]):
@@ -49,16 +55,16 @@ def _first_non_generator(algebra, vectors, images, dim: int, method: str) -> Min
     return MinimalityReport(True, method, dim)
 
 
-def exhaustive_minimality(ideal: LeftIdeal, max_enum: int | None = None) -> MinimalityReport:
+def exhaustive_minimality(ideal: LeftIdeal, cap: int = ENUM_CAP) -> MinimalityReport:
     """Minimal iff every one of the q^dim - 1 nonzero vectors of the ideal
     generates the whole ideal under all |G| left translates; the first vector
     (coefficients in lexicographic order over the echelon basis) that does
-    not is the witness.  GF(p) only, subject to the enumeration cap."""
+    not is the witness.  GF(p) only, refused past q^dim = cap."""
     algebra = ideal.algebra
     field, n, dim = algebra.field, algebra.dim, ideal.dimension
     if not isinstance(field, PrimeField):
         raise ValueError("the exhaustive reference runs over prime fields only")
-    check_enum_size(field.p, dim, max_enum)
+    _check_cap(field.p, dim, cap)
     return _first_non_generator(
         algebra,
         _nonzero_combinations(field, ideal.basis_vectors()),
@@ -68,10 +74,10 @@ def exhaustive_minimality(ideal: LeftIdeal, max_enum: int | None = None) -> Mini
     )
 
 
-def exhaustive_corner_transfer(e, a, max_enum: int | None = None) -> MinimalityReport:
+def exhaustive_corner_transfer(e, a, cap: int = ENUM_CAP) -> MinimalityReport:
     """Whether e A a is a minimal left ideal of the corner e A e, by brute
     force: every nonzero vector of e A a must generate it under the corner
-    elements e 1_g e.  GF(p) only, subject to the enumeration cap; it checks
+    elements e 1_g e.  GF(p) only, refused past q^dim = cap; it checks
     none of the preconditions that settle the answer in the library."""
     algebra = e.algebra
     field = algebra.field
@@ -80,7 +86,7 @@ def exhaustive_corner_transfer(e, a, max_enum: int | None = None) -> MinimalityR
     basis = [algebra.basis_element(g) for g in algebra.groupoid.elements]
     corner_ops = [e * b * e for b in basis]
     span = rref(field, [(e * b * a).to_vector() for b in basis], algebra.dim)
-    check_enum_size(field.p, span.dim, max_enum)
+    _check_cap(field.p, span.dim, cap)
     return _first_non_generator(
         algebra,
         _nonzero_combinations(field, span.rows),
@@ -88,6 +94,20 @@ def exhaustive_corner_transfer(e, a, max_enum: int | None = None) -> MinimalityR
         span.dim,
         f"corner exhaustive over GF({field.p})",
     )
+
+
+def first_absolute_zero_divisor(algebra):
+    """The first nonzero a with a * 1_g * a = 0 for every g, walking all
+    p^n - 1 coefficient vectors in lexicographic order (first coordinate
+    most significant) and multiplying by convolution, or None."""
+    p = algebra.field.p
+    units = [algebra.basis_element(g) for g in algebra.groupoid.elements]
+    for coeffs in product(range(p), repeat=algebra.dim):
+        if any(coeffs):
+            a = algebra.from_vector(list(coeffs))
+            if all((a * u * a).is_zero() for u in units):
+                return a
+    return None
 
 
 def generated_dimension(f) -> int:

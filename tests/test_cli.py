@@ -193,18 +193,6 @@ def test_oracle_size_cap_exits_65(run, files):
     assert "cap" in err
 
 
-def test_enum_cap_env_lowers_the_cap(run, files, monkeypatch):
-    monkeypatch.setenv("STEINBERG_MAX_ENUM", "8")
-    code, _, err = run("oracle", files["pair2"], "--field", "f2")
-    assert code == 65
-
-
-def test_enum_cap_env_rejects_garbage(run, files, monkeypatch):
-    monkeypatch.setenv("STEINBERG_MAX_ENUM", "many")
-    code, _, err = run("oracle", files["pair2"], "--field", "f2")
-    assert code == 64
-
-
 def test_graph_socle_loop(run, files):
     code, out, _ = run("graph-socle", files["loop"])
     assert code == 0
@@ -298,3 +286,19 @@ def test_graph_json_validation(run, files, tmp_path):
     path.write_text(json.dumps({"vertices": ["v"], "edges": [["e", "v", "w"]]}))
     code, _, err = run("graph-socle", str(path))
     assert code == 64
+
+
+def test_graph_ids_with_path_separators_exit_64(run, tmp_path):
+    # "a.b" as one edge and a.b as a two-edge path would print the same
+    # boundary path, so the graph is refused before any analysis
+    graph = {
+        "vertices": ["x", "y", "z", "s"],
+        "edges": [["a.b", "x", "s"], ["a", "y", "z"], ["b", "z", "s"]],
+    }
+    path = tmp_path / "separators.json"
+    path.write_text(json.dumps(graph))
+    for extra in ([], ["--materialize", "--field", "q"]):
+        code, out, err = run("graph-socle", str(path), *extra)
+        assert code == 64
+        assert out == ""
+        assert "'a.b'" in err

@@ -313,6 +313,14 @@ def test_make_graph_validation():
         make_graph(["v", "w"], [("v", "v", "w")])  # edge id shadows a vertex
 
 
+def test_make_graph_rejects_path_separators_in_ids():
+    # the edge "a.b" and the path a.b would serialise alike
+    with pytest.raises(ValueError, match="'a.b'"):
+        make_graph(["x", "y", "z", "s"], [("a.b", "x", "s"), ("a", "y", "z"), ("b", "z", "s")])
+    with pytest.raises(ValueError, match="'v\\|w'"):
+        make_graph(["v|w", "u"], [("e", "u", "v|w")])
+
+
 def test_from_json_rejects_malformed():
     with pytest.raises(ValueError):
         from_json_obj({"vertices": ["v"]})

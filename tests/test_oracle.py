@@ -6,6 +6,7 @@ import pytest
 from steinberg import oracle
 from steinberg.algebra import SteinbergAlgebra, element_to_obj
 from steinberg.builders import (
+    all_groupoids_up_to,
     cyclic_group,
     disjoint_union,
     one_object_groupoid,
@@ -28,9 +29,9 @@ from steinberg.oracle import (
     oracle_right_socle,
     oracle_socle,
 )
-from steinberg.socle import LeftIdeal, socle
+from steinberg.socle import DIVISION_IDEMPOTENT, LeftIdeal, minimal_ideal_generator, socle
 
-from references import same_subspace
+from references import first_absolute_zero_divisor, same_subspace
 
 
 def ideal_rows(ideal):
@@ -104,6 +105,29 @@ def test_semiprime_principal_cases():
         assert report.witness is None
 
 
+def test_semiprime_matches_the_dichotomy():
+    # Maschke with the paper's dichotomy: A is semiprime iff p divides no
+    # isotropy order, i.e. iff every unit's certificate is a division
+    # idempotent.  Small cases also pin the witness of the scalar-line walk
+    # to the first absolute zero divisor of the full enumeration.
+    compared = 0
+    for g in all_groupoids_up_to(6):
+        for p in (2, 3, 5):
+            algebra = SteinbergAlgebra(g, PrimeField(p))
+            report = oracle_is_semiprime(algebra)
+            flavours = {minimal_ideal_generator(algebra, u).flavour for u in g.units()}
+            assert report.semiprime == (flavours == {DIVISION_IDEMPOTENT})
+            assert (report.witness is None) == report.semiprime
+            if report.witness is not None:
+                w = report.witness
+                for gamma in g.elements:
+                    assert (w * algebra.basis_element(gamma) * w).is_zero()
+            if p**algebra.dim <= 3**6:
+                assert report.witness == first_absolute_zero_divisor(algebra)
+                compared += 1
+    assert compared > 0
+
+
 def test_right_socle_is_the_involution_image():
     for p in (2, 3):
         g = disjoint_union(pair_groupoid(["a", "b"]), trivial_groupoid("z"))
@@ -175,20 +199,12 @@ def test_oracle_rejects_rationals():
 
 
 def test_oracle_respects_enumeration_cap():
+    # 2^25 vectors exceed the fixed 2^20 cap, for both walks
     algebra = SteinbergAlgebra(pair_groupoid(["a", "b", "c", "d", "e"]), PrimeField(2))
-    with pytest.raises(SizeCapExceeded):
-        oracle_minimal_ideals(algebra)  # 2^25 exceeds the default cap
-    small = SteinbergAlgebra(pair_groupoid(["a", "b"]), PrimeField(2))
-    with pytest.raises(SizeCapExceeded):
-        oracle_minimal_ideals(small, max_enum=8)
-    with pytest.raises(SizeCapExceeded):
-        oracle_is_semiprime(small, max_enum=8)
-
-
-def test_max_enum_cannot_raise_the_cap():
-    algebra = SteinbergAlgebra(pair_groupoid(["a", "b", "c", "d", "e"]), PrimeField(2))
-    with pytest.raises(SizeCapExceeded):
-        oracle_minimal_ideals(algebra, max_enum=1 << 30)
+    with pytest.raises(SizeCapExceeded, match="2\\^25"):
+        oracle_minimal_ideals(algebra)
+    with pytest.raises(SizeCapExceeded, match="2\\^25"):
+        oracle_is_semiprime(algebra)
 
 
 def test_socle_generators_regenerate_their_ideals():

@@ -10,6 +10,7 @@ from steinberg.builders import (
     disjoint_union,
     one_object_groupoid,
     pair_groupoid,
+    quaternion_group,
     random_groupoid,
     transitive_groupoid,
     trivial_groupoid,
@@ -340,9 +341,13 @@ def test_corner_minimality_matches_the_exhaustive_route(
         cert = minimal_ideal_generator(algebra, rng.choice(g.units()))
         generators[0] = cert.generator
     ideal = left_ideal(algebra, generators)
+    # the library needs no lower cap: an orbit of k units with isotropy of
+    # order m has k^2 m <= 12 arrows, so when the corner route enumerates
+    # (2 <= m <= 6) the corner 1_x I has dimension at most k m <= 6, at most
+    # 3^6 vectors; the reference walks the whole ideal and has its own cap
     cap = 3**7
     try:
-        report = is_minimal_left_ideal(ideal, cert, max_enum=cap)
+        report = is_minimal_left_ideal(ideal, cert)
     except ValueError:
         # only an isotropy corner over q without a certificate is undecided
         assert designator == "q" and cert is None and not check_condition_LP(g).holds
@@ -354,7 +359,7 @@ def test_corner_minimality_matches_the_exhaustive_route(
         assert ideal.contains(report.witness)
         assert 0 < generated_dimension(report.witness) < ideal.dimension
     if designator != "q" and algebra.field.p ** ideal.dimension <= cap:
-        reference = exhaustive_minimality(ideal, max_enum=cap)
+        reference = exhaustive_minimality(ideal, cap)
         assert (report.minimal, report.dimension) == (reference.minimal, reference.dimension)
 
 
@@ -408,35 +413,54 @@ def test_minimality_over_prime_field_answers_without_enumeration(time_limit):
     algebra = SteinbergAlgebra(pair_groupoid([f"p{i}" for i in range(12)]), PrimeField(2))
     ideal = left_ideal(algebra, [minimal_ideal_generator(algebra, "p0").generator])
     with time_limit(0.5):
-        report = is_minimal_left_ideal(ideal, max_enum=2)
+        report = is_minimal_left_ideal(ideal)
     assert report.minimal
+    assert report.method == "corner rank"
     assert report.dimension == 12
 
 
-def test_minimality_enumerates_only_the_isotropy_corner():
+def test_minimality_enumerates_only_the_isotropy_corner(time_limit):
     # GF(2)[Z3] = GF(2) + GF(4): the augmentation ideal at u0 is the simple
     # GF(4), so 1_u0 I is 2-dimensional and simple; the cap applies to the
-    # 2^(dim I / k) = 4 corner vectors, not to 2^4
+    # 2^(dim I / k) = 4 corner vectors, not to the 2^(dim I) of the ideal
     g = transitive_groupoid(["u0", "u1"], cyclic_group(3))
     algebra = SteinbergAlgebra(g, PrimeField(2))
     ideal = left_ideal(algebra, [algebra.element({"u0": 1, "u0|g": 1})])
     assert ideal.dimension == 4
-    report = is_minimal_left_ideal(ideal, max_enum=4)
+    report = is_minimal_left_ideal(ideal)
     assert report.minimal
     assert report.method == "corner exhaustive over GF(2)"
     assert exhaustive_minimality(ideal).minimal
-    with pytest.raises(SizeCapExceeded):
-        is_minimal_left_ideal(ideal, max_enum=3)
+
+    # on 11 points the whole ideal has 2^22 vectors, over the cap; the
+    # corner still has 2^2
+    g = transitive_groupoid([f"u{i}" for i in range(11)], cyclic_group(3))
+    algebra = SteinbergAlgebra(g, PrimeField(2))
+    ideal = left_ideal(algebra, [algebra.element({"u0": 1, "u0|g": 1})])
+    assert ideal.dimension == 22
+    with time_limit(2):
+        report = is_minimal_left_ideal(ideal)
+    assert report.minimal
+    assert report.method == "corner exhaustive over GF(2)"
+    with pytest.raises(SizeCapExceeded, match="2\\^22"):
+        exhaustive_minimality(ideal)
 
 
-def test_minimality_enumeration_cap_over_prime_field():
+def test_minimality_enumeration_cap_over_prime_field(time_limit):
+    # Q8 isotropy without a certificate would enumerate 1_u0 I: 3^16 vectors
+    # are over the cap, and the refusal comes before any spin
+    g = transitive_groupoid(["u0", "u1"], quaternion_group())
+    algebra = SteinbergAlgebra(g, PrimeField(3))
+    ideal = left_ideal(algebra, [algebra.global_unit()])
+    assert ideal.dimension == 32
+    with time_limit(1), pytest.raises(SizeCapExceeded, match="3\\^16"):
+        is_minimal_left_ideal(ideal)
+
     # Z4 isotropy without a certificate still enumerates 1_u0 I: 3^12 vectors
     g = transitive_groupoid(["u0", "u1", "u2"], cyclic_group(4))
     algebra = SteinbergAlgebra(g, PrimeField(3))
     ideal = left_ideal(algebra, [algebra.global_unit()])
     assert ideal.dimension == 36
-    with pytest.raises(SizeCapExceeded, match="3\\^12"):
-        is_minimal_left_ideal(ideal, max_enum=2**8)
     report = is_minimal_left_ideal(ideal)
     assert not report.minimal
     assert report.method == "corner exhaustive over GF(3)"
