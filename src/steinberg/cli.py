@@ -6,7 +6,9 @@ fixed indentation so identical inputs produce identical bytes.
 
 Exit codes: 0 success (for validate, only when the groupoid is valid),
 1 axiom violations from validate, 2 socle refusal under condition (LP),
-64 malformed inputs, 65 size caps, 70 cross-check mismatch.
+64 malformed inputs, 65 size caps, 70 cross-check mismatch (the
+--materialize comparison, or a failed internal check such as the oracle's
+closure check of its socle).
 """
 
 from __future__ import annotations
@@ -271,6 +273,11 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
+    except RuntimeError as exc:
+        # A failed internal cross-check, such as an oracle socle that is not
+        # closed under multiplication; SizeCapExceeded is caught above.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -7,7 +7,7 @@ q^dim cap), computes the left ideal A a as the row space of all products
 minimal under inclusion and sums them into the socle.  Right ideals a A run
 through the same enumeration with the products a * 1_g.  Either socle is
 verified to be closed under multiplication on both sides.  Semiprimeness
-is decided by the same walk (see _chunks for why it suffices), searching
+is decided by the same walk (see _lines for why it suffices), searching
 for an absolute zero divisor: a nonzero a with a * 1_g * a = 0 for all g.
 
 Everything runs on numpy arrays, processed in enumeration order in bounded
@@ -21,6 +21,21 @@ their bytes, and membership in an echelon span is one matrix product,
 because a member's entries at the pivot columns are its coefficients.
 The engine (socle module) deliberately shares no linear algebra with this
 module.
+
+Both walks run once per connected block of the composition table.  A
+union-find over the composable triples (a, b, ab), connectivity only and no
+orbit or isotropy reasoning, splits the basis into blocks; an element, its
+units and every product it takes part in share a block, so A is the direct
+product A_1 x ... x A_m with zero products across blocks, and a block of
+m_i elements is walked as GF(q)^(m_i) on its restricted gather tables and
+triples.  The outputs are those of the walk over all of GF(q)^|G|, which
+admits the same inputs: the enumeration cap still counts q^|G|.  A minimal
+ideal lies in one block, and so does every generator of it (local units put
+a generator in the ideal it generates).  Embedding block coordinates into
+the full ones keeps their order, so an embedded reduced echelon matrix is
+still reduced echelon and canonical, and the first generator of each ideal
+and the sort by dimension and canonical bytes are unchanged.  For the
+absolute zero divisor, see oracle_is_semiprime.
 """
 
 from __future__ import annotations
@@ -69,30 +84,101 @@ def _composable_triples(algebra: SteinbergAlgebra) -> list[tuple[int, int, int]]
     ]
 
 
-def _chunks(q: int, n: int):
-    """One coefficient vector per scalar line of GF(q)^n, in increasing
-    order of the integers whose base-q digits they are (first coordinate,
-    in canonical basis order, most significant), in chunks of at most
-    _chunk_rows_for(n) rows.
+@dataclass(frozen=True)
+class _Block:
+    """One connected block of the composition table.
+
+    index holds the full coordinates of the block's basis, increasing;
+    left, right (the _gather_tables) and triples are in block coordinates.
+    """
+
+    index: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    triples: list[tuple[int, int, int]]
+
+    @property
+    def size(self) -> int:
+        return int(self.index.size)
+
+    def embed(self, vectors: np.ndarray, n: int) -> np.ndarray:
+        """Block-coordinate vectors (last axis) in the n full coordinates."""
+        full = np.zeros(vectors.shape[:-1] + (n,), dtype=vectors.dtype)
+        full[..., self.index] = vectors
+        return full
+
+
+def _blocks(algebra: SteinbergAlgebra) -> list[_Block]:
+    """The connected blocks, by union-find over the composable triples,
+    ordered by their least coordinate.
+
+    ab = c puts a, b and c in one block, so 1_a * 1_b is zero whenever a
+    and b lie in different blocks, and a gather table entry [g, k] inside
+    a block names a coordinate of that block or the zero column.
+    """
+    n = algebra.dim
+    triples = _composable_triples(algebra)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j, k in triples:
+        for other in (j, k):
+            a, b = find(i), find(other)
+            parent[max(a, b)] = min(a, b)
+    roots = np.array([find(i) for i in range(n)], dtype=np.intp)
+    local = np.empty(n + 1, dtype=np.intp)
+    left, right = _gather_tables(algebra)
+    blocks = []
+    for root in np.unique(roots):
+        index = np.flatnonzero(roots == root)
+        local[index] = np.arange(index.size)
+        local[n] = index.size
+        sub = np.ix_(index, index)
+        blocks.append(
+            _Block(
+                index=index,
+                left=local[left[sub]],
+                right=local[right[sub]],
+                triples=[
+                    (int(local[i]), int(local[j]), int(local[k]))
+                    for i, j, k in triples
+                    if roots[i] == root
+                ],
+            )
+        )
+    return blocks
+
+
+def _lines(q: int, n: int, lead: int):
+    """One coefficient vector per scalar line of GF(q)^n whose leading
+    nonzero coordinate is lead, in increasing order of the integers whose
+    base-q digits they are (first coordinate, in canonical basis order,
+    most significant), in chunks of at most _chunk_rows_for(n) rows.
 
     The representative of a line is its vector with leading nonzero digit
-    1, so the representatives are the integers in [q**m, 2*q**m) for m < n.
-    Scaling a by c != 0 changes neither the cyclic ideal a generates nor
-    whether a * A * a = 0.  And the first vector of a line in the full order
-    [1, q**n) is its representative: if a had leading digit c != 1, then
-    c^-1 * a would lie on the same line with a smaller integer value.  So
-    the first generator recorded per ideal, and the first absolute zero
-    divisor, are those of the full enumeration.
+    1, so the representatives led by coordinate lead are the integers in
+    [q**m, 2*q**m) for m = n - 1 - lead.  Scaling a by c != 0 changes
+    neither the cyclic ideal a generates nor whether a * A * a = 0.  And
+    the first vector of a line in the full order [1, q**n) is its
+    representative: if a had leading digit c != 1, then c^-1 * a would lie
+    on the same line with a smaller integer value.  So the first generator
+    recorded per ideal, and the first absolute zero divisor, are those of
+    the full enumeration.
     """
     chunk_rows = _chunk_rows_for(n)
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for m in range(n):
-        start, stop = q**m, 2 * q**m
-        while start < stop:
-            upper = min(start + chunk_rows, stop)
-            indices = np.arange(start, upper, dtype=np.int64)
-            yield (indices[:, None] // powers[None, :]) % q
-            start = upper
+    m = n - 1 - lead
+    start, stop = q**m, 2 * q**m
+    while start < stop:
+        upper = min(start + chunk_rows, stop)
+        indices = np.arange(start, upper, dtype=np.int64)
+        yield (indices[:, None] // powers[None, :]) % q
+        start = upper
 
 
 def _chunk_rows_for(n: int) -> int:
@@ -132,8 +218,9 @@ def _batched_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form of a stack of matrices over GF(p).
 
     Returns (ranks, reduced) where reduced[i] holds the canonical echelon
-    rows of mats[i] on top and zero rows below, as int64.  The echelon form
-    is unique, so it does not depend on which eligible row becomes a pivot.
+    rows of mats[i] on top and zero rows below, in the narrowest unsigned
+    type that holds p - 1.  The echelon form is unique, so it does not
+    depend on which eligible row becomes a pivot.
 
     Reduction mod p is delayed.  Each column step reduces only the pivot
     column and the pivot row, then adds (p - factor) * pivot_row to every
@@ -177,9 +264,8 @@ def _batched_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     np.remainder(work, p, out=work)
     # Pivot rows by pivot column on top; the rows left free are zero mod p.
     order = np.argsort(pivot_col, axis=0, kind="stable")
-    reduced = np.empty((count, rows, cols), dtype=np.int64)
-    reduced[...] = work.transpose(2, 0, 1)[stack[:, None], order.T]
-    return rows - free.sum(axis=0), reduced
+    reduced = work.transpose(2, 0, 1)[stack[:, None], order.T]
+    return rows - free.sum(axis=0), reduced.astype(np.min_scalar_type(p - 1), copy=False)
 
 
 def _products(chunk: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
@@ -213,46 +299,40 @@ def _in_span(vectors: np.ndarray, rows: np.ndarray, p: int) -> bool:
 
 
 def _enumerate_ideals(
-    algebra: SteinbergAlgebra, products
-) -> list[tuple[bytes, np.ndarray, np.ndarray]]:
-    """All distinct cyclic ideal subspaces, in first-generator order.
-
-    Returns triples (canonical bytes, echelon rows, first generator vector).
-    """
-    p = _require_prime_field(algebra)
-    n = algebra.dim
-    check_enum_size(p, n)
+    p: int, n: int, products
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All distinct cyclic ideal subspaces of GF(p)^n, in first-generator
+    order, as pairs (echelon rows, first generator vector)."""
     seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    for chunk in _chunks(p, n):
+    # The full order of GF(p)^n: the integers grow as the lead moves left.
+    chunks = (chunk for lead in reversed(range(n)) for chunk in _lines(p, n, lead))
+    for chunk in chunks:
         stacks = products(chunk)
         ranks, reduced = _batched_rref(stacks, p)
         # Zero rows pad every reduced matrix, so its bytes in the narrowest
         # type holding p - 1 are a canonical key; np.unique keeps the first
         # occurrence of each.
-        flat = reduced.reshape(chunk.shape[0], -1).astype(np.min_scalar_type(p - 1))
+        flat = reduced.reshape(chunk.shape[0], -1)
         keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0]
         _, first_indices = np.unique(keys, return_index=True)
         for i in np.sort(first_indices):
             key = keys[i].tobytes()
             if key not in seen:
                 seen[key] = (reduced[i, : ranks[i]].copy(), chunk[i].copy())
-    return [(key, rows, gen) for key, (rows, gen) in seen.items()]
+    return list(seen.values())
 
 
 def _minimal_among(
-    ideals: list[tuple[bytes, np.ndarray, np.ndarray]], p: int
-) -> list[tuple[bytes, np.ndarray, np.ndarray]]:
-    survivors = []
-    for key, rows, gen in ideals:
-        is_minimal = True
-        for _, other_rows, _ in ideals:
-            if other_rows.shape[0] < rows.shape[0] and _in_span(other_rows, rows, p):
-                is_minimal = False
-                break
-        if is_minimal:
-            survivors.append((key, rows, gen))
-    survivors.sort(key=lambda t: (t[1].shape[0], t[0]))
-    return survivors
+    ideals: list[tuple[np.ndarray, np.ndarray]], p: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [
+        (rows, gen)
+        for rows, gen in ideals
+        if not any(
+            other.shape[0] < rows.shape[0] and _in_span(other, rows, p)
+            for other, _ in ideals
+        )
+    ]
 
 
 def _element(algebra: SteinbergAlgebra, vec: np.ndarray) -> AlgebraElement:
@@ -277,19 +357,29 @@ def _ideal_from_rows(
 def _minimal_ideals(algebra: SteinbergAlgebra, side: str) -> list[LeftIdeal]:
     """Every minimal left ideal A a (side "left", rows 1_g * a) or right
     ideal a A (side "right", rows a * 1_g), by full enumeration of the
-    cyclic ones.
+    cyclic ones in each block.
 
     Each returned ideal records the first enumerated generator; the list is
-    sorted by dimension and then by canonical basis, so it is deterministic
-    and independent of chunk sizes.
+    sorted by dimension and then by the canonical key of the n x n reduced
+    echelon matrix, so it is deterministic and independent of chunk sizes
+    and of the split into blocks.
     """
     p = _require_prime_field(algebra)
-    left, right = _gather_tables(algebra)
-    table = left if side == "left" else right
-    ideals = _enumerate_ideals(algebra, lambda c: _products(c, table, p))
+    n = algebra.dim
+    check_enum_size(p, n)
+    found = []
+    for block in _blocks(algebra):
+        table = block.left if side == "left" else block.right
+        ideals = _enumerate_ideals(p, block.size, lambda c: _products(c, table, p))
+        for rows, gen in _minimal_among(ideals, p):
+            # The n x n matrix the unsplit walk reduced, keyed by its bytes.
+            padded = np.zeros((n, n), dtype=np.min_scalar_type(p - 1))
+            padded[: rows.shape[0]] = block.embed(rows, n)
+            found.append((rows.shape[0], padded.tobytes(), padded[: rows.shape[0]], block.embed(gen, n)))
+    found.sort(key=lambda t: t[:2])
     return [
         _ideal_from_rows(algebra, rows, (_element(algebra, gen),), two_sided=False)
-        for _, rows, gen in _minimal_among(ideals, p)
+        for _, _, rows, gen in found
     ]
 
 
@@ -356,27 +446,39 @@ class SemiprimeReport:
 def oracle_is_semiprime(algebra: SteinbergAlgebra) -> SemiprimeReport:
     """Search one nonzero a per scalar line for the absolute zero divisor
     property a * A * a = 0; the witness is the first such a in the order of
-    the full enumeration (see _chunks)."""
+    the full enumeration (see _lines).
+
+    Products across blocks vanish, so for g in block i, a * 1_g * a =
+    a_i * 1_g * a_i where a_i is the component of a in block i: a is an
+    absolute zero divisor exactly when each of its components is one or
+    zero.  Dropping every component but the one holding a's leading
+    coordinate lowers a's integer value, so the first absolute zero divisor
+    lies in one block.  The walk therefore visits only vectors supported in
+    one block, led by each coordinate in turn from the last to the first,
+    which is their order in the full enumeration.
+    """
     p = _require_prime_field(algebra)
     n = algebra.dim
     check_enum_size(p, n)
-    _, right = _gather_tables(algebra)
-    triples = _composable_triples(algebra)
-    n_g = right.shape[0]
-    for chunk in _chunks(p, n):
-        count = chunk.shape[0]
-        candidates = np.ones(count, dtype=bool)
-        for g in range(n_g):
-            if not candidates.any():
-                break
-            shifted = _products(chunk, right[g : g + 1], p)[:, 0]  # a * 1_g
-            conv = np.zeros_like(chunk)  # (a * 1_g) * a
-            for i, j, k in triples:
-                conv[:, k] += shifted[:, i] * chunk[:, j]
-            conv %= p
-            candidates &= ~conv.any(axis=1)
-        if candidates.any():
-            first = int(np.argmax(candidates))
-            witness = _element(algebra, chunk[first])
-            return SemiprimeReport(semiprime=False, witness=witness)
+    owner = {
+        int(full): (block, lead)
+        for block in _blocks(algebra)
+        for lead, full in enumerate(block.index)
+    }
+    for full in reversed(range(n)):
+        block, lead = owner[full]
+        for chunk in _lines(p, block.size, lead):
+            candidates = np.ones(chunk.shape[0], dtype=bool)
+            for g in range(block.size):
+                if not candidates.any():
+                    break
+                shifted = _products(chunk, block.right[g : g + 1], p)[:, 0]  # a * 1_g
+                conv = np.zeros_like(chunk)  # (a * 1_g) * a
+                for i, j, k in block.triples:
+                    conv[:, k] += shifted[:, i] * chunk[:, j]
+                conv %= p
+                candidates &= ~conv.any(axis=1)
+            if candidates.any():
+                witness = block.embed(chunk[int(np.argmax(candidates))], n)
+                return SemiprimeReport(semiprime=False, witness=_element(algebra, witness))
     return SemiprimeReport(semiprime=True, witness=None)

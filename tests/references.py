@@ -1,7 +1,8 @@
 """Test-only references: small linear-algebra helpers, the exhaustive
 minimality routes that the corner decision and the corner lemma in
-steinberg.socle replaced, the full-order absolute zero divisor search that
-the oracle's scalar-line walk replaced, and the per-vertex reachability
+steinberg.socle replaced, the whole-algebra minimal ideal walk and the
+full-order absolute zero divisor search that the oracle's per-block
+scalar-line walks replaced, and the per-vertex reachability
 that steinberg.graphs' flood and peel replaced.
 
 Nothing here is part of the library; tests compare the engine against these
@@ -94,6 +95,34 @@ def exhaustive_corner_transfer(e, a, cap: int = ENUM_CAP) -> MinimalityReport:
         span.dim,
         f"corner exhaustive over GF({field.p})",
     )
+
+
+def unsplit_minimal_ideals(algebra, side: str) -> list[tuple[list[list], list]]:
+    """Every minimal left ideal A a (side "left") or right ideal a A (side
+    "right"), by the walk over all p^n - 1 nonzero vectors of the whole
+    algebra in lexicographic order (first coordinate most significant),
+    with no split into blocks and no scalar-line shortcut.
+
+    Returns (reduced echelon rows, first generator) pairs sorted by
+    dimension and then by the rows, which for p < 257 is the order of the
+    oracle's canonical bytes.  GF(p) only, refused past p^n = ENUM_CAP.
+    """
+    field, n = algebra.field, algebra.dim
+    _check_cap(field.p, n, ENUM_CAP)
+    action = algebra.left_action if side == "left" else algebra.right_action
+    spans: dict[tuple, tuple[EchelonBasis, list]] = {}
+    for coeffs in product(range(field.p), repeat=n):
+        if any(coeffs):
+            a = list(coeffs)
+            span = rref(field, [action(g, a) for g in range(n)], n)
+            spans.setdefault(span.canonical(), (span, a))
+    minimal = [
+        (key, a)
+        for key, (span, a) in spans.items()
+        if not any(len(other) < len(key) and all(map(span.contains, other)) for other in spans)
+    ]
+    minimal.sort(key=lambda t: (len(t[0]), t[0]))
+    return [([list(row) for row in key], a) for key, a in minimal]
 
 
 def first_absolute_zero_divisor(algebra):

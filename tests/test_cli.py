@@ -2,8 +2,14 @@ import json
 
 import pytest
 
-from steinberg import cli
-from steinberg.builders import cyclic_group, one_object_groupoid, pair_groupoid
+from steinberg import cli, oracle
+from steinberg.builders import (
+    cyclic_group,
+    disjoint_union,
+    one_object_groupoid,
+    pair_groupoid,
+    trivial_groupoid,
+)
 from steinberg.graphs import GraphSocleReport, SocleBlock, lpa_socle
 from steinberg.groupoid import to_json_obj
 
@@ -191,6 +197,28 @@ def test_oracle_size_cap_exits_65(run, files):
     code, _, err = run("oracle", files["pair5"], "--field", "f2")
     assert code == 65
     assert "cap" in err
+
+
+def test_oracle_cap_counts_the_whole_algebra(run, tmp_path):
+    # three blocks of 9 + 4 + 1 elements: 3^14 vectors, over the cap
+    g = disjoint_union(
+        pair_groupoid(["a", "b", "c"]), pair_groupoid(["x", "y"]), trivial_groupoid("pt")
+    )
+    path = tmp_path / "pair3+pair2+pt.json"
+    path.write_text(json.dumps(to_json_obj(g)))
+    code, out, err = run("oracle", str(path), "--field", "f3", "--semiprime")
+    assert code == 65
+    assert out == ""
+    assert "3^14" in err
+
+
+def test_oracle_failed_closure_check_exits_70(run, files, monkeypatch):
+    # a socle that fails its two-sided closure check is reported, not raised
+    monkeypatch.setattr(oracle, "_in_span", lambda vectors, rows, p: False)
+    code, out, err = run("oracle", files["pair2"], "--field", "f2")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("error: ") and "closure check" in err
 
 
 def test_graph_socle_loop(run, files):

@@ -1,7 +1,10 @@
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinberg import oracle
 from steinberg.algebra import SteinbergAlgebra, element_to_obj
@@ -12,14 +15,17 @@ from steinberg.builders import (
     one_object_groupoid,
     pair_groupoid,
     random_groupoid,
+    transitive_groupoid,
     trivial_groupoid,
 )
 from steinberg.fields import PrimeField, Rationals
+from steinberg.groupoid import from_json_obj, to_json_obj
 from steinberg.limits import SizeCapExceeded
 from steinberg.linalg import rref
 from steinberg.oracle import (
     _accumulator_dtype,
     _batched_rref,
+    _blocks,
     _gather_tables,
     _in_span,
     _products,
@@ -31,7 +37,11 @@ from steinberg.oracle import (
 )
 from steinberg.socle import DIVISION_IDEMPOTENT, LeftIdeal, minimal_ideal_generator, socle
 
-from references import first_absolute_zero_divisor, same_subspace
+from references import (
+    first_absolute_zero_divisor,
+    same_subspace,
+    unsplit_minimal_ideals,
+)
 
 
 def ideal_rows(ideal):
@@ -173,21 +183,120 @@ def test_right_ideals_mirror_left_ideals_through_star():
     assert left_spans == mirrored
 
 
-def test_engine_oracle_agreement_on_random_principal_groupoids():
-    rng = random.Random(37)
-    for _ in range(8):
-        g = random_groupoid(rng, 9, principal=True)
+def reordered(g, order):
+    """g with its elements listed in the given order of their indices, so
+    that the blocks of a disjoint union interleave in canonical order."""
+    obj = to_json_obj(g)
+    obj["elements"] = [obj["elements"][i] for i in order]
+    return from_json_obj(obj)
+
+
+@st.composite
+def principal_groupoids(draw):
+    """Disjoint unions of pair groupoids with at most 9 elements in all,
+    connected or not, with their elements in a drawn order."""
+    sizes, budget = [], 9
+    while budget and (not sizes or draw(st.booleans())):
+        k = draw(st.integers(1, isqrt(budget)))
+        sizes.append(k)
+        budget -= k * k
+    g = disjoint_union(
+        *(pair_groupoid([f"c{i}u{j}" for j in range(k)]) for i, k in enumerate(sizes))
+    )
+    return reordered(g, draw(st.permutations(range(len(g.elements)))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(principal_groupoids())
+def test_engine_oracle_agreement_on_random_principal_groupoids(g):
+    for p in (2, 3):
+        algebra = SteinbergAlgebra(g, PrimeField(p))
+        engine = socle(algebra)
+        oracle_ideal = oracle_socle(algebra)
+        assert engine.socle_dimension == oracle_ideal.dimension
+        assert same_subspace(
+            algebra.field,
+            [b.to_vector() for b in engine.socle_basis],
+            ideal_rows(oracle_ideal),
+            algebra.dim,
+        )
+
+
+def _split_cases():
+    z2, z3 = transitive_groupoid(["y"], cyclic_group(2)), transitive_groupoid(["z"], cyclic_group(3))
+    unions = [
+        disjoint_union(pair_groupoid(["a", "b"]), z2, trivial_groupoid("pt")),
+        disjoint_union(z2, z3, trivial_groupoid("pt")),
+    ]
+    # the same unions with their blocks interleaved in canonical order
+    unions += [reordered(g, list(range(len(g.elements)))[::-1]) for g in unions]
+    unions.append(reordered(unions[0], [0, 4, 1, 6, 2, 5, 3]))
+    for g in all_groupoids_up_to(6) + unions:
         for p in (2, 3):
-            algebra = SteinbergAlgebra(g, PrimeField(p))
-            engine = socle(algebra)
-            oracle_ideal = oracle_socle(algebra)
-            assert engine.socle_dimension == oracle_ideal.dimension
-            assert same_subspace(
-                algebra.field,
-                [b.to_vector() for b in engine.socle_basis],
-                ideal_rows(oracle_ideal),
-                algebra.dim,
-            )
+            yield SteinbergAlgebra(g, PrimeField(p))
+
+
+def test_split_walks_match_the_unsplit_walks():
+    # The per-block walks against the walk over all of GF(p)^|G|: bases,
+    # first generators and list order of the minimal ideals on both sides,
+    # both socles, and the semiprime report with its witness.
+    for algebra in _split_cases():
+        for minimal_of, socle_of, side in (
+            (oracle_minimal_ideals, oracle_socle, "left"),
+            (oracle_minimal_right_ideals, oracle_right_socle, "right"),
+        ):
+            minimal = minimal_of(algebra)
+            expected = unsplit_minimal_ideals(algebra, side)
+            assert [(ideal_rows(i), i.generators[0].to_vector()) for i in minimal] == expected
+            soc = socle_of(algebra, minimal=minimal)
+            reference = rref(algebra.field, [row for rows, _ in expected for row in rows], algebra.dim)
+            assert ideal_rows(soc) == [list(row) for row in reference.canonical()]
+            assert [gen.to_vector() for gen in soc.generators] == [gen for _, gen in expected]
+        report = oracle_is_semiprime(algebra)
+        witness = first_absolute_zero_divisor(algebra)
+        assert report.semiprime == (witness is None)
+        assert report.witness == witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 16),
+    max_isotropy=st.integers(1, 4),
+)
+def test_blocks_are_the_orbit_classes(seed, size, max_isotropy):
+    rng = random.Random(seed)
+    g = random_groupoid(rng, size, max_isotropy=max_isotropy)
+    order = list(range(len(g.elements)))
+    rng.shuffle(order)
+    g = reordered(g, order)
+    algebra = SteinbergAlgebra(g, PrimeField(2))
+    blocks = [[g.elements[i] for i in block.index] for block in _blocks(algebra)]
+    orbits = [
+        [x for x in g.elements if g.r(x) in cls.members] for cls in g.orbit_classes()
+    ]
+    assert sorted(blocks) == sorted(orbits)
+    for block in _blocks(algebra):
+        assert block.index.tolist() == sorted(block.index.tolist())
+    for i, first in enumerate(blocks):
+        for second in blocks[i + 1 :]:
+            for x in first:
+                for y in second:
+                    assert (algebra.basis_element(x) * algebra.basis_element(y)).is_zero()
+                    assert (algebra.basis_element(y) * algebra.basis_element(x)).is_zero()
+
+
+def test_block_split_keeps_the_whole_algebra_cap():
+    # pair(3) + pair(2) + pt has 14 elements: 3^9 + 3^4 + 3 vectors would
+    # fit in the cap, but the cap still counts 3^14 of the whole algebra.
+    g = disjoint_union(
+        pair_groupoid(["a", "b", "c"]), pair_groupoid(["x", "y"]), trivial_groupoid("pt")
+    )
+    algebra = SteinbergAlgebra(g, PrimeField(3))
+    assert len(_blocks(algebra)) == 3
+    for walk in (oracle_minimal_ideals, oracle_minimal_right_ideals, oracle_is_semiprime):
+        with pytest.raises(SizeCapExceeded, match="3\\^14"):
+            walk(algebra)
 
 
 def test_oracle_rejects_rationals():
@@ -245,7 +354,7 @@ def test_batched_rref_matches_the_reference_echelon_form(p, rows, cols, dtype):
     mats[2, :, : cols // 2] = 0
     mats[3, rows // 2 :] = mats[3, : rows - rows // 2] * 3
     ranks, reduced = _batched_rref(mats, p)
-    assert reduced.dtype == np.int64 and ranks.dtype == np.int64
+    assert reduced.dtype == np.min_scalar_type(p - 1) and ranks.dtype == np.int64
     field = PrimeField(p)
     for i, mat in enumerate(mats):
         expected = rref(field, mat.tolist(), cols).canonical()
