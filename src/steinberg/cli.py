@@ -62,6 +62,9 @@ def _load_json(path: str):
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # A RuntimeError, which main would report as a failed internal check.
+        raise _UsageError(f"{path} nests too deeply to load: {exc}") from exc
 
 
 def _load_groupoid(path: str) -> groupoid.FiniteGroupoid:

@@ -23,19 +23,20 @@ The engine (socle module) deliberately shares no linear algebra with this
 module.
 
 Both walks run once per connected block of the composition table.  A
-union-find over the composable triples (a, b, ab), connectivity only and no
-orbit or isotropy reasoning, splits the basis into blocks; an element, its
-units and every product it takes part in share a block, so A is the direct
-product A_1 x ... x A_m with zero products across blocks, and a block of
-m_i elements is walked as GF(q)^(m_i) on its restricted gather tables and
-triples.  The outputs are those of the walk over all of GF(q)^|G|, which
-admits the same inputs: the enumeration cap still counts q^|G|.  A minimal
-ideal lies in one block, and so does every generator of it (local units put
-a generator in the ideal it generates).  Embedding block coordinates into
-the full ones keeps their order, so an embedded reduced echelon matrix is
-still reduced echelon and canonical, and the first generator of each ideal
-and the sort by dimension and canonical bytes are unchanged.  For the
-absolute zero divisor, see oracle_is_semiprime.
+union-find over the nonzero entries of the left gather table, connectivity
+only and no orbit or isotropy reasoning, splits the basis into blocks: an
+entry [g, k] = j < n says 1_g * 1_j = 1_k, so every composable pair is one
+entry.  An element, its units and every product it takes part in share a
+block, so A is the direct product A_1 x ... x A_m with zero products across
+blocks, and a block of m_i elements is walked as GF(q)^(m_i) on its
+restricted gather tables.  The outputs are those of the walk over all of
+GF(q)^|G|, which admits the same inputs: the enumeration cap still counts
+q^|G|.  A minimal ideal lies in one block, and so does every generator of
+it (local units put a generator in the ideal it generates).  Embedding
+block coordinates into the full ones keeps their order, so an embedded
+reduced echelon matrix is still reduced echelon and canonical, and the
+first generator of each ideal and the sort by dimension and canonical bytes
+are unchanged.  For the absolute zero divisor, see oracle_is_semiprime.
 """
 
 from __future__ import annotations
@@ -75,27 +76,17 @@ def _gather_tables(algebra: SteinbergAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return gather(algebra.left_action_table), gather(algebra.right_action_table)
 
 
-def _composable_triples(algebra: SteinbergAlgebra) -> list[tuple[int, int, int]]:
-    gpd = algebra.groupoid
-    idx = gpd.index
-    return [
-        (idx[a], idx[b], idx[c])
-        for (a, b), c in gpd.compose.items()
-    ]
-
-
 @dataclass(frozen=True)
 class _Block:
     """One connected block of the composition table.
 
     index holds the full coordinates of the block's basis, increasing;
-    left, right (the _gather_tables) and triples are in block coordinates.
+    left and right (the _gather_tables) are in block coordinates.
     """
 
     index: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    triples: list[tuple[int, int, int]]
 
     @property
     def size(self) -> int:
@@ -109,15 +100,16 @@ class _Block:
 
 
 def _blocks(algebra: SteinbergAlgebra) -> list[_Block]:
-    """The connected blocks, by union-find over the composable triples,
-    ordered by their least coordinate.
+    """The connected blocks, by union-find over the nonzero entries of the
+    left gather table, ordered by their least coordinate.
 
-    ab = c puts a, b and c in one block, so 1_a * 1_b is zero whenever a
-    and b lie in different blocks, and a gather table entry [g, k] inside
-    a block names a coordinate of that block or the zero column.
+    An entry [g, k] = j < n puts g, j and k in one block, so 1_a * 1_b is
+    zero whenever a and b lie in different blocks, and a gather table entry
+    [g, k] inside a block names a coordinate of that block or the zero
+    column.
     """
     n = algebra.dim
-    triples = _composable_triples(algebra)
+    left, right = _gather_tables(algebra)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -126,31 +118,20 @@ def _blocks(algebra: SteinbergAlgebra) -> list[_Block]:
             i = parent[i]
         return i
 
-    for i, j, k in triples:
+    g, k = np.nonzero(left < n)
+    for i, j, k in zip(g.tolist(), left[g, k].tolist(), k.tolist()):
         for other in (j, k):
             a, b = find(i), find(other)
             parent[max(a, b)] = min(a, b)
     roots = np.array([find(i) for i in range(n)], dtype=np.intp)
     local = np.empty(n + 1, dtype=np.intp)
-    left, right = _gather_tables(algebra)
     blocks = []
     for root in np.unique(roots):
         index = np.flatnonzero(roots == root)
         local[index] = np.arange(index.size)
         local[n] = index.size
         sub = np.ix_(index, index)
-        blocks.append(
-            _Block(
-                index=index,
-                left=local[left[sub]],
-                right=local[right[sub]],
-                triples=[
-                    (int(local[i]), int(local[j]), int(local[k]))
-                    for i, j, k in triples
-                    if roots[i] == root
-                ],
-            )
-        )
+        blocks.append(_Block(index=index, left=local[left[sub]], right=local[right[sub]]))
     return blocks
 
 
@@ -372,10 +353,10 @@ def _minimal_ideals(algebra: SteinbergAlgebra, side: str) -> list[LeftIdeal]:
         table = block.left if side == "left" else block.right
         ideals = _enumerate_ideals(p, block.size, lambda c: _products(c, table, p))
         for rows, gen in _minimal_among(ideals, p):
-            # The n x n matrix the unsplit walk reduced, keyed by its bytes.
-            padded = np.zeros((n, n), dtype=np.min_scalar_type(p - 1))
-            padded[: rows.shape[0]] = block.embed(rows, n)
-            found.append((rows.shape[0], padded.tobytes(), padded[: rows.shape[0]], block.embed(gen, n)))
+            # Ideals of equal rank pad to the n x n matrix the unsplit walk
+            # reduced with the same zero rows, so these bytes order them alike.
+            full = block.embed(rows, n)
+            found.append((rows.shape[0], full.tobytes(), full, block.embed(gen, n)))
     found.sort(key=lambda t: t[:2])
     return [
         _ideal_from_rows(algebra, rows, (_element(algebra, gen),), two_sided=False)
@@ -467,18 +448,22 @@ def oracle_is_semiprime(algebra: SteinbergAlgebra) -> SemiprimeReport:
     }
     for full in reversed(range(n)):
         block, lead = owner[full]
+        dtype = _accumulator_dtype(p, block.size)
         for chunk in _lines(p, block.size, lead):
-            candidates = np.ones(chunk.shape[0], dtype=bool)
+            # left[i, h] is 1_h * a_i, so (a_i * 1_g) * a_i sums its
+            # coefficient of 1_h times left[i, h]: block.size products of
+            # reduced values, within the bound of dtype.
+            left = _products(chunk, block.left, p).astype(dtype, copy=False)
+            # A line drops out at the first g with a * 1_g * a != 0; the
+            # rest keep their order, so chunk[0] is the first witness.
             for g in range(block.size):
-                if not candidates.any():
+                if not chunk.shape[0]:
                     break
                 shifted = _products(chunk, block.right[g : g + 1], p)[:, 0]  # a * 1_g
-                conv = np.zeros_like(chunk)  # (a * 1_g) * a
-                for i, j, k in block.triples:
-                    conv[:, k] += shifted[:, i] * chunk[:, j]
-                conv %= p
-                candidates &= ~conv.any(axis=1)
-            if candidates.any():
-                witness = block.embed(chunk[int(np.argmax(candidates))], n)
+                conv = np.einsum("ih,ihk->ik", shifted.astype(dtype, copy=False), left) % p
+                keep = ~conv.any(axis=1)
+                chunk, left = chunk[keep], left[keep]
+            if chunk.shape[0]:
+                witness = block.embed(chunk[0], n)
                 return SemiprimeReport(semiprime=False, witness=_element(algebra, witness))
     return SemiprimeReport(semiprime=True, witness=None)

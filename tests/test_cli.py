@@ -150,9 +150,16 @@ def test_bad_field_exits_64(run, files):
 
 
 def test_usage_errors_exit_64(run, files):
-    assert run("socle", files["pair3"])[0] == 64  # missing --field
-    assert run("frobnicate")[0] == 64  # unknown subcommand
-    assert run()[0] == 64
+    for argv in (
+        ("socle", files["pair3"]),  # missing --field
+        ("frobnicate",),  # unknown subcommand
+        (),
+        ("graph-socle", files["line3"], "--materialize", "--field", "galois"),
+    ):
+        code, out, err = run(*argv)
+        assert code == 64
+        assert out == ""
+        assert "Traceback" not in err and err.splitlines()[-1].startswith("error: ")
 
 
 def test_minimal_certificate(run, files):
@@ -330,3 +337,104 @@ def test_graph_ids_with_path_separators_exit_64(run, tmp_path):
         assert code == 64
         assert out == ""
         assert "'a.b'" in err
+
+
+SWEEP_COMMANDS = (
+    ("validate",),
+    ("socle", "--field", "q"),
+    ("minimal", "--unit", "a", "--field", "f2"),
+    ("oracle", "--field", "f2", "--semiprime"),
+    ("graph-socle",),
+    ("graph-socle", "--materialize", "--field", "f2"),
+)
+
+# The exit code of each command above, in order, on each input.
+SWEEP_CODES = {
+    "pair2": (0, 0, 0, 0, 64, 64),
+    "z2": (0, 2, 64, 0, 64, 64),  # LP fails; "a" is not one of its units
+    "pair5": (0, 0, 0, 65, 64, 64),  # 2^25 oracle vectors
+    "axiom-violation": (1, 64, 64, 64, 64, 64),
+    "over-cap": (65, 65, 65, 65, 64, 64),  # 513 units
+    "line3": (64, 64, 64, 64, 0, 0),
+    "loop": (64, 64, 64, 64, 0, 64),  # a cycle has no materialisation
+    "star23": (64, 64, 64, 64, 0, 65),  # 24 boundary paths, 576 elements
+    "truncated": (64,) * 6,
+    "empty": (64,) * 6,
+    "non-utf8": (64,) * 6,
+    "deep": (64,) * 6,  # json.load raises RecursionError, a RuntimeError
+    "nan": (64,) * 6,
+    "huge-int": (64,) * 6,
+    "top-level-array": (64,) * 6,
+    "wrong-types": (64,) * 6,
+    "missing": (64,) * 6,
+    "directory": (64,) * 6,
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep")
+    pair2 = to_json_obj(pair_groupoid(["a", "b"]))
+    units = [f"u{i}" for i in range(513)]
+    star = [f"v{i}" for i in range(23)]
+    texts = {
+        "pair2": json.dumps(pair2),
+        "z2": json.dumps(to_json_obj(one_object_groupoid(cyclic_group(2)))),
+        "pair5": json.dumps(to_json_obj(pair_groupoid(list("abcde")))),
+        "axiom-violation": json.dumps(dict(pair2, compose=pair2["compose"][1:])),
+        "over-cap": json.dumps(
+            {
+                "elements": units,
+                **{key: {u: u for u in units} for key in ("source", "range", "inverse")},
+                "compose": [[u, u, u] for u in units],
+            }
+        ),
+        "line3": json.dumps(
+            {"vertices": ["v1", "v2", "v3"], "edges": [["e1", "v1", "v2"], ["e2", "v2", "v3"]]}
+        ),
+        "loop": json.dumps({"vertices": ["v"], "edges": [["e", "v", "v"]]}),
+        "star23": json.dumps(
+            {"vertices": star + ["s"], "edges": [[f"e{i}", v, "s"] for i, v in enumerate(star)]}
+        ),
+        "truncated": "{half a document",
+        "empty": "",
+        "deep": "[" * 200_000 + "]" * 200_000,
+        "nan": '{"elements": NaN, "vertices": NaN}',
+        "huge-int": "[1" + "0" * 5000 + "]",
+        "top-level-array": "[1, 2, 3]",
+        "wrong-types": '{"elements": "ab", "source": [], "vertices": [1, 2], "edges": 5}',
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(text, encoding="utf-8")
+    paths["non-utf8"] = root / "non-utf8.json"
+    paths["non-utf8"].write_bytes(b'{"elements": ["\xff\xfe"]}')
+    paths["missing"] = root / "missing.json"
+    paths["directory"] = root
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("name", SWEEP_CODES)
+def test_exit_codes_mean_what_the_docstring_says(run, sweep_inputs, name):
+    for command, expected in zip(SWEEP_COMMANDS, SWEEP_CODES[name]):
+        code, out, err = run(command[0], sweep_inputs[name], *command[1:])
+        assert code == expected, command
+        assert code in {0, 1, 2, 64, 65, 70}
+        assert "Traceback" not in out + err
+        if code in (0, 1, 2):
+            doc = json.loads(out)
+            assert doc["schema"] == 1
+            assert err == ""
+        if code == 0:
+            assert doc.get("valid", True) and doc.get("cross_check_passed", True)
+        elif code == 1:  # axiom violations, from validate only
+            assert command[0] == "validate"
+            assert doc["valid"] is False and doc["violations"]
+        elif code == 2:  # condition (LP) refusal, from socle only
+            assert command[0] == "socle"
+            assert doc["lp_holds"] is False and doc["violators"]
+        else:  # 64 malformed input, 65 size cap: an error and no document
+            assert out == ""
+            assert err.startswith("error: ")
+            assert code == 64 or "cap" in err

@@ -187,6 +187,31 @@ def test_line_points_match_per_vertex_reachability(g):
                 orbit_size(g, v)
 
 
+@st.composite
+def small_acyclic_graphs(draw):
+    """Up to 7 vertices whose sorted order is not their declaration order,
+    and up to 6 edges, parallel ones included, each from an earlier to a
+    later declared vertex: few enough boundary paths that every
+    materialisation stays under the element cap."""
+    names = draw(st.permutations([f"{c}{i}" for i, c in enumerate("qzbkamx")]))
+    vertices = names[: draw(st.integers(1, 7))]
+    edges = []
+    if len(vertices) > 1:
+        for j in range(draw(st.integers(0, 6))):
+            a = draw(st.integers(0, len(vertices) - 2))
+            b = draw(st.integers(a + 1, len(vertices) - 1))
+            edges.append((f"e{j}", vertices[a], vertices[b]))
+    return make_graph(vertices, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_acyclic_graphs())
+def test_block_sizes_match_the_engine_on_the_materialisation(g):
+    blocks = sorted(b.size for b in lpa_socle(g).blocks if b.size is not INFINITE)
+    engine = socle(SteinbergAlgebra(materialize_boundary_groupoid(g), Rationals()))
+    assert blocks == sorted(c.matrix_size for c in engine.components)
+
+
 def test_star_answers_promptly(time_limit):
     leaves = [f"s{i}" for i in range(10_000)]
     g = make_graph(["hub"] + leaves, [(f"e{i}", "hub", s) for i, s in enumerate(leaves)])

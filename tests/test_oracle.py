@@ -1,5 +1,7 @@
+import ast
 import random
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,3 +456,25 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     whole = [summary(algebra) for algebra in algebras]
     monkeypatch.setattr(oracle, "_chunk_rows_for", lambda n: 3)
     assert [summary(algebra) for algebra in algebras] == whole
+
+
+def test_oracle_stays_independent_of_the_engine():
+    # Engine-vs-oracle agreement is the correctness argument, so the oracle
+    # shares no linear algebra with the engine, reasons about no orbit or
+    # isotropy, and sees multiplication only through the action tables.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.setdefault(module, set()).update(alias.name for alias in node.names)
+    for module, names in imported.items():
+        for name in (module, *names):
+            assert not {"groupoid", "linalg"} & set(name.split(".")), (module, name)
+    assert {m: n for m, n in imported.items() if m.split(".")[-1] == "socle"} == {".socle": {"LeftIdeal"}}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"left_action_table", "right_action_table"} <= attributes
+    assert not {a for a in attributes if a in ("compose", "isotropy") or a.startswith("orbit")}
