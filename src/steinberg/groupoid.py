@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .limits import MAX_GROUPOID_ELEMENTS, SizeCapExceeded
+from .limits import MAX_ASSOCIATIVITY_TRIPLES, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
 
 
 class GroupoidValidationError(ValueError):
@@ -189,6 +189,19 @@ def validate(
 
     Collects all violations (with witnesses) into a single
     GroupoidValidationError rather than stopping at the first.
+
+    Associativity is checked by Light's test: only the triples whose middle
+    element t lies in a generating set, |G_r(t)| * |G^s(t)| of them for each
+    t, where G_u holds the arrows with source u and G^u those with range u.
+    On a group of order n that is at most log2(n) * n^2 triples.  When it
+    fails, or an earlier axiom already failed, the sweep over all composable
+    triples lists every failing one, (a, b) in the table's order and c in
+    canonical order.  Above MAX_ASSOCIATIVITY_TRIPLES composable triples the
+    sweep does not run: the list then holds the failing triples Light's test
+    found and ends with a line saying it is partial.  Light's test is held
+    to the same cap; if it would pass the cap before finding a failure,
+    SizeCapExceeded is raised, which no valid groupoid under the element
+    cap can cause.
     """
     elements = list(elements)
     violations: list[str] = []
@@ -216,38 +229,47 @@ def validate(
             elif v not in seen:
                 violations.append(f"{name}({g!r}) = {v!r} is not a declared element")
     for (a, b), c in compose.items():
-        for g in (a, b, c):
-            if g not in seen:
-                violations.append(f"composition entry ({a!r}, {b!r}) -> {c!r} mentions undeclared {g!r}")
-                break
+        if a in seen and b in seen and c in seen:
+            continue
+        g = next(g for g in (a, b, c) if g not in seen)
+        violations.append(f"composition entry ({a!r}, {b!r}) -> {c!r} mentions undeclared {g!r}")
     if violations:
         raise GroupoidValidationError(violations)
 
     s, r, inv = dict(source_of), dict(range_of), dict(inverse_of)
     comp = dict(compose)
+    rows: dict[str, dict[str, str]] = {g: {} for g in elements}  # rows[a][b] = a * b
+    for (a, b), c in comp.items():
+        rows[a][b] = c
 
     # Composition is defined exactly on the composable pairs.
     by_range: dict[str, list[str]] = {}
+    by_source: dict[str, list[str]] = {}
     for c in elements:
         by_range.setdefault(r[c], []).append(c)
+        by_source.setdefault(s[c], []).append(c)
     for (a, b) in comp:
         if s[a] != r[b]:
             violations.append(f"composition declared on the non-composable pair ({a!r}, {b!r})")
     for a in elements:
-        for b in by_range.get(s[a], ()):
-            if (a, b) not in comp:
-                violations.append(f"missing composition for the composable pair ({a!r}, {b!r})")
+        row = rows[a]
+        violations += [
+            f"missing composition for the composable pair ({a!r}, {b!r})"
+            for b in by_range.get(s[a], ())
+            if b not in row
+        ]
     if violations:
         raise GroupoidValidationError(violations)
 
+    position = {g: i for i, g in enumerate(elements)}
     units_s = {g for g in elements if s[g] == g}
     units_r = {g for g in elements if r[g] == g}
     if units_s != units_r:
-        for g in sorted(units_s ^ units_r, key=elements.index):
+        for g in sorted(units_s ^ units_r, key=position.__getitem__):
             violations.append(f"{g!r} is fixed by exactly one of source and range")
     idempotents = {g for g in elements if comp.get((g, g)) == g}
     if idempotents != units_s:
-        for g in sorted(idempotents ^ units_s, key=elements.index):
+        for g in sorted(idempotents ^ units_s, key=position.__getitem__):
             violations.append(f"{g!r} is an idempotent or a unit but not both")
     for u in units_s & units_r:
         if inv[u] != u:
@@ -270,18 +292,94 @@ def validate(
         if s[c] != s[b] or r[c] != r[a]:
             violations.append(f"source/range of the product ({a!r}, {b!r}) -> {c!r} are wrong")
 
-    # Associativity over all composable triples, with witnesses.
-    for (a, b), ab in comp.items():
-        for c in by_range.get(s[b], ()):
-            left = comp.get((ab, c))
-            bc = comp[(b, c)]
-            right = comp.get((a, bc))
-            if left != right or left is None:
-                violations.append(f"associativity fails on the triple ({a!r}, {b!r}, {c!r})")
+    def through(b: str) -> int:
+        """The number of composable triples with middle element b."""
+        return len(by_source.get(r[b], ())) * len(by_range.get(s[b], ()))
 
-    if violations:
-        raise GroupoidValidationError(violations)
-    return FiniteGroupoid(elements, s, r, inv, comp)
+    def failing(pairs) -> list[str]:
+        """The triples (a, b, c), for each pair (a, b) and each c composable
+        with b in canonical order, on which (ab)c and a(bc) differ or are
+        undefined."""
+        found = []
+        for a, b in pairs:
+            cs = by_range.get(s[b], ())
+            left = list(map(rows[rows[a][b]].get, cs))
+            right = list(map(rows[a].get, map(rows[b].__getitem__, cs)))
+            if left != right or None in left:
+                found += [
+                    f"associativity fails on the triple ({a!r}, {b!r}, {c!r})"
+                    for c, x, y in zip(cs, left, right)
+                    if x is None or x != y
+                ]
+        return found
+
+    # Associativity by Light's test, which proves it only when every other
+    # axiom holds (see _light_generators); after an earlier violation it
+    # still finds real failing triples for the partial list.
+    checked, budget = [], MAX_ASSOCIATIVITY_TRIPLES
+    for t in _light_generators(elements, s, r, inv, rows, units_s):
+        budget -= through(t)
+        if budget < 0:
+            break
+        checked.append(t)
+    witnesses = failing((x, t) for t in checked for x in by_source.get(r[t], ()))
+    if not (violations or witnesses or budget < 0):
+        return FiniteGroupoid(elements, s, r, inv, comp)
+
+    total = sum(map(through, elements))
+    if total <= MAX_ASSOCIATIVITY_TRIPLES:
+        violations += failing(comp)
+    elif violations or witnesses:
+        violations += witnesses
+        violations.append(
+            f"the list is partial: the {total} composable triples exceed the cap of "
+            f"{MAX_ASSOCIATIVITY_TRIPLES}, so associativity failures are listed only "
+            "for middle elements in Light's generating set"
+        )
+    else:
+        raise SizeCapExceeded(
+            f"Light's associativity test needs more than {MAX_ASSOCIATIVITY_TRIPLES} "
+            "triples on this table"
+        )
+    raise GroupoidValidationError(violations)
+
+
+def _light_generators(elements, s, r, inv, rows, units) -> list[str]:
+    """A generating set for Light's associativity test.
+
+    The y with (xy)z = x(yz) for all composable x, z are closed under
+    composition, and the units are among them once the identity axioms hold.
+    So if every generator is among them, so is every element: each is a
+    unit, a generator, or a reached element times a generator.  The walk
+    takes, in canonical order, each element not yet reached, then its
+    inverse if that is still unreached, and closes the reached set under
+    right multiplication by the generators.  It reads only the table, never
+    assuming associativity.
+    """
+    reached = set(units)
+    reached_from: dict[str, list[str]] = {}  # source -> reached elements
+    for u in units:
+        reached_from.setdefault(s[u], []).append(u)
+    into: dict[str, list[str]] = {}  # range -> generators
+    generators: list[str] = []
+
+    def close(stack: list[str]):
+        while stack:
+            d = stack.pop()
+            if d not in reached:
+                reached.add(d)
+                reached_from.setdefault(s[d], []).append(d)
+                stack += [rows[d][t] for t in into.get(s[d], ())]
+
+    for t in elements:
+        if t in reached:
+            continue
+        for g in (t, inv[t]):
+            if g not in reached:
+                generators.append(g)
+                into.setdefault(r[g], []).append(g)
+                close([g] + [rows[c][g] for c in reached_from.get(r[g], ())])
+    return generators
 
 
 # -- JSON interchange -------------------------------------------------------
@@ -312,9 +410,11 @@ def from_json_obj(obj) -> FiniteGroupoid:
         raise ValueError("'compose' must be a list of [a, b, ab] triples")
     compose: dict[tuple[str, str], str] = {}
     for row in compose_rows:
-        if not (isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)):
+        if not (isinstance(row, list) and len(row) == 3):
             raise ValueError(f"bad composition triple: {row!r}")
         a, b, c = row
+        if not (isinstance(a, str) and isinstance(b, str) and isinstance(c, str)):
+            raise ValueError(f"bad composition triple: {row!r}")
         if (a, b) in compose:
             raise ValueError(f"duplicate composition entry for ({a!r}, {b!r})")
         compose[(a, b)] = c

@@ -1,12 +1,24 @@
 """Hard size caps shared by the validator and the exhaustive routines.
 
-All three are constants: no argument or environment variable moves them.
+All four are constants: no argument or environment variable moves them.
 """
 
 from __future__ import annotations
 
-# Validation walks all composable triples, which is cubic in the worst case.
+# Ceiling on the elements of a groupoid, and so on the dimension of its
+# algebra.
 MAX_GROUPOID_ELEMENTS = 512
+
+# Ceiling on the composable triples (a, b, c) that validation checks for
+# associativity, by either route.  Listing every failing triple of an
+# invalid table takes the sweep over all of them, so it runs only below the
+# cap.  Light's test checks |G_r(t)| * |G^s(t)| triples for each t of a
+# generating set.  On a valid groupoid each generator, with its inverse,
+# merges two orbits or at least doubles an isotropy group of what the
+# earlier ones generate, so under the element cap Light's test needs at
+# most 9 * 512^2 (about 2.4 M) triples, the cost for a group of order 512
+# with nine generators: no valid groupoid is refused.
+MAX_ASSOCIATIVITY_TRIPLES = 1 << 22
 
 # Ceiling on exhaustive vector enumeration (q ** dimension): the oracle's
 # q^|G| vectors, and the minimality test's q^(dim I / k) corner vectors.

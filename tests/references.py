@@ -3,7 +3,9 @@ minimality routes that the corner decision and the corner lemma in
 steinberg.socle replaced, the whole-algebra minimal ideal walk and the
 full-order absolute zero divisor search that the oracle's per-block
 scalar-line walks replaced, and the per-vertex reachability
-that steinberg.graphs' flood and peel replaced.
+that steinberg.graphs' flood and peel replaced, and the groupoid
+validation that checked associativity on every composable triple before
+steinberg.groupoid checked it by Light's test.
 
 Nothing here is part of the library; tests compare the engine against these
 slow, assumption-free versions.
@@ -15,7 +17,8 @@ from itertools import product
 
 from steinberg.fields import PrimeField
 from steinberg.graphs import INFINITE, DirectedGraph, LinePointReport, VertexStatus
-from steinberg.limits import ENUM_CAP, SizeCapExceeded
+from steinberg.groupoid import FiniteGroupoid, GroupoidValidationError
+from steinberg.limits import ENUM_CAP, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
 from steinberg.linalg import EchelonBasis, rref
 from steinberg.socle import LeftIdeal, MinimalityReport
 
@@ -199,3 +202,102 @@ def line_point_statuses(g: DirectedGraph) -> LinePointReport:
             continue
         statuses[v] = VertexStatus(v, False, None, reason, None)
     return LinePointReport(line_points=tuple(points), per_vertex=statuses, sink_sizes=sizes)
+
+
+def associativity_fails(compose, a: str, b: str, c: str) -> bool:
+    """Whether (ab)c and a(bc) differ or are undefined, for composable
+    pairs (a, b) and (b, c) of the table."""
+    left = compose.get((compose[(a, b)], c))
+    return left is None or left != compose.get((a, compose[(b, c)]))
+
+
+def validate_by_sweep(elements, source_of, range_of, inverse_of, compose) -> FiniteGroupoid:
+    """steinberg.groupoid.validate as it was before Light's test: the same
+    axioms in the same order, and associativity checked on every composable
+    triple, (a, b) in the table's order and c in canonical order."""
+    elements = list(elements)
+    violations: list[str] = []
+
+    if not elements:
+        raise GroupoidValidationError(["the element list is empty"])
+    if len(elements) > MAX_GROUPOID_ELEMENTS:
+        raise SizeCapExceeded(
+            f"{len(elements)} elements exceeds the cap of {MAX_GROUPOID_ELEMENTS}"
+        )
+    seen = set()
+    for g in elements:
+        if g in seen:
+            violations.append(f"duplicate element id {g!r}")
+        seen.add(g)
+
+    for name, mapping in (("source", source_of), ("range", range_of), ("inverse", inverse_of)):
+        for g in elements:
+            if g not in mapping:
+                violations.append(f"{name} map is missing element {g!r}")
+        for g, v in mapping.items():
+            if g not in seen:
+                violations.append(f"{name} map mentions undeclared element {g!r}")
+            elif v not in seen:
+                violations.append(f"{name}({g!r}) = {v!r} is not a declared element")
+    for (a, b), c in compose.items():
+        for g in (a, b, c):
+            if g not in seen:
+                violations.append(f"composition entry ({a!r}, {b!r}) -> {c!r} mentions undeclared {g!r}")
+                break
+    if violations:
+        raise GroupoidValidationError(violations)
+
+    s, r, inv = dict(source_of), dict(range_of), dict(inverse_of)
+    comp = dict(compose)
+
+    by_range: dict[str, list[str]] = {}
+    for c in elements:
+        by_range.setdefault(r[c], []).append(c)
+    for (a, b) in comp:
+        if s[a] != r[b]:
+            violations.append(f"composition declared on the non-composable pair ({a!r}, {b!r})")
+    for a in elements:
+        for b in by_range.get(s[a], ()):
+            if (a, b) not in comp:
+                violations.append(f"missing composition for the composable pair ({a!r}, {b!r})")
+    if violations:
+        raise GroupoidValidationError(violations)
+
+    units_s = {g for g in elements if s[g] == g}
+    units_r = {g for g in elements if r[g] == g}
+    if units_s != units_r:
+        for g in sorted(units_s ^ units_r, key=elements.index):
+            violations.append(f"{g!r} is fixed by exactly one of source and range")
+    idempotents = {g for g in elements if comp.get((g, g)) == g}
+    if idempotents != units_s:
+        for g in sorted(idempotents ^ units_s, key=elements.index):
+            violations.append(f"{g!r} is an idempotent or a unit but not both")
+    for u in units_s & units_r:
+        if inv[u] != u:
+            violations.append(f"unit {u!r} is not its own inverse")
+
+    for g in elements:
+        gi = inv[g]
+        if inv[gi] != g:
+            violations.append(f"inverse is not involutive at {g!r}")
+        if comp.get((g, gi)) != r[g]:
+            violations.append(f"{g!r} * inverse({g!r}) is not range({g!r})")
+        if comp.get((gi, g)) != s[g]:
+            violations.append(f"inverse({g!r}) * {g!r} is not source({g!r})")
+        if comp.get((r[g], g)) != g:
+            violations.append(f"range({g!r}) * {g!r} is not {g!r}")
+        if comp.get((g, s[g])) != g:
+            violations.append(f"{g!r} * source({g!r}) is not {g!r}")
+
+    for (a, b), c in comp.items():
+        if s[c] != s[b] or r[c] != r[a]:
+            violations.append(f"source/range of the product ({a!r}, {b!r}) -> {c!r} are wrong")
+
+    for (a, b) in comp:
+        for c in by_range.get(s[b], ()):
+            if associativity_fails(comp, a, b, c):
+                violations.append(f"associativity fails on the triple ({a!r}, {b!r}, {c!r})")
+
+    if violations:
+        raise GroupoidValidationError(violations)
+    return FiniteGroupoid(elements, s, r, inv, comp)

@@ -1,6 +1,8 @@
+import ast
 import json
 
 import pytest
+from references import associativity_fails
 
 from steinberg import cli, oracle
 from steinberg.builders import (
@@ -74,6 +76,25 @@ def test_validate_axiom_violation_exits_1(run, files, tmp_path):
     doc = json.loads(out)
     assert doc["valid"] is False
     assert doc["violations"]
+
+
+def test_validate_refuses_a_corrupted_z512_promptly(run, tmp_path, time_limit):
+    # g * g2 is g3 in Z512; g4 keeps every axiom but associativity.  Its
+    # 512^3 composable triples are over the cap, so only Light's test runs.
+    obj = to_json_obj(one_object_groupoid(cyclic_group(512)))
+    obj["compose"] = [[a, b, "g4" if (a, b) == ("g", "g2") else c] for a, b, c in obj["compose"]]
+    path = tmp_path / "z512.json"
+    path.write_text(json.dumps(obj))
+    with time_limit(5):
+        code, out, _ = run("validate", str(path))
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert violations[-1].startswith("the list is partial: the 134217728 composable triples")
+    prefix = "associativity fails on the triple "
+    assert all(v.startswith(prefix) for v in violations[:-1])
+    triples = [ast.literal_eval(v[len(prefix) :]) for v in violations[:-1]]
+    compose = {(a, b): c for a, b, c in obj["compose"]}
+    assert triples and all(associativity_fails(compose, *t) for t in triples)
 
 
 def test_validate_unparseable_exits_64(run, files, tmp_path):

@@ -2,10 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steinberg import groupoid
 from steinberg.builders import (
     all_groupoids_up_to,
     cyclic_group,
+    direct_product,
     disjoint_union,
     one_object_groupoid,
     pair_groupoid,
@@ -21,6 +25,8 @@ from steinberg.groupoid import (
     validate,
 )
 from steinberg.limits import SizeCapExceeded
+
+from references import validate_by_sweep
 
 
 def test_trivial_groupoid():
@@ -195,3 +201,179 @@ def test_units_are_idempotents():
         for e in g.elements:
             is_idem = g.composable(e, e) and g.mul(e, e) == e
             assert is_idem == g.is_unit(e)
+
+
+_DOC_U = {"elements": ["u"], "source": {"u": "u"}, "range": {"u": "u"}, "inverse": {"u": "u"}}
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "uuu",
+        ["u", "u"],
+        ["u", "u", "u", "u"],
+        [1, "u", "u"],
+        ["u", None, "u"],
+        ["u", "u", 2.5],
+        ["u", ["u"], "u"],
+    ],
+)
+def test_from_json_rejects_bad_compose_rows(row):
+    with pytest.raises(ValueError) as exc_info:
+        from_json_obj(dict(_DOC_U, compose=[["u", "u", "u"], row]))
+    assert str(exc_info.value) == f"bad composition triple: {row!r}"
+
+
+def renamed(g, rng):
+    """g with fresh element ids, listed in a shuffled order."""
+    names = {x: f"x{i}" for i, x in enumerate(rng.sample(g.elements, len(g.elements)))}
+    order = list(g.elements)
+    rng.shuffle(order)
+    compose = {(names[a], names[b]): names[c] for (a, b), c in g.compose.items()}
+    return validate(
+        [names[x] for x in order],
+        *({names[x]: names[m[x]] for x in g.elements} for m in (g.source_of, g.range_of, g.inverse_of)),
+        compose,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 30), rename=st.booleans())
+def test_json_round_trip_on_random_groupoids(seed, size, rename):
+    rng = random.Random(seed)
+    g = random_groupoid(rng, size)
+    if rename:
+        g = renamed(g, rng)
+    doc = to_json_obj(g)
+    assert to_json_obj(from_json_obj(json.loads(json.dumps(doc)))) == doc
+
+
+def _tables(g, compose=None):
+    return (
+        list(g.elements),
+        dict(g.source_of),
+        dict(g.range_of),
+        dict(g.inverse_of),
+        dict(g.compose) if compose is None else compose,
+    )
+
+
+def _outcome(check, tables):
+    """The violation list, or the canonical document of a valid groupoid."""
+    try:
+        return to_json_obj(check(*tables))
+    except GroupoidValidationError as exc:
+        return exc.violations
+
+
+def _corruptions(g, associativity_only: bool):
+    """Every table that differs from g's in one composition entry.  With
+    associativity_only, the entry (a, b) has non-units a, b with
+    b != inverse(a) and its new value keeps source and range and is not a
+    itself when a == b, so every other axiom still holds."""
+    for (a, b), old in g.compose.items():
+        if associativity_only:
+            if g.is_unit(a) or g.is_unit(b) or b == g.inv(a):
+                continue
+            values = [
+                c for c in g.elements
+                if g.s(c) == g.s(b) and g.r(c) == g.r(a) and c != old and not a == b == c
+            ]
+        else:
+            values = [c for c in g.elements if c != old]
+        for c in values:
+            yield dict(g.compose) | {(a, b): c}
+
+
+def _assert_agrees(g, compose):
+    tables = _tables(g, compose)
+    assert _outcome(validate, tables) == _outcome(validate_by_sweep, tables)
+
+
+def test_validate_agrees_with_the_sweep_on_small_groupoids_and_corruptions():
+    for g in all_groupoids_up_to(6):
+        _assert_agrees(g, None)
+        for compose in _corruptions(g, associativity_only=True):
+            violations = _outcome(validate_by_sweep, _tables(g, compose))
+            assert violations and all(v.startswith("associativity fails") for v in violations)
+            _assert_agrees(g, compose)
+        for compose in _corruptions(g, associativity_only=False):
+            _assert_agrees(g, compose)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 24),
+    max_isotropy=st.integers(1, 4),
+    kind=st.sampled_from(["none", "associativity", "any", "map"]),
+)
+def test_validate_agrees_with_the_sweep_on_random_groupoids(seed, size, max_isotropy, kind):
+    rng = random.Random(seed)
+    g = renamed(random_groupoid(rng, size, max_isotropy=max_isotropy), rng)
+    elements, source, range_, inverse, compose = _tables(g)
+    if kind in ("associativity", "any"):
+        options = list(_corruptions(g, associativity_only=kind == "associativity"))
+        if options:
+            compose = rng.choice(options)
+    elif kind == "map":
+        mapping = rng.choice([source, range_, inverse])
+        mapping[rng.choice(elements)] = rng.choice(elements)
+    entries = list(compose.items())
+    rng.shuffle(entries)  # the sweep lists failures in the table's order
+    tables = (elements, source, range_, inverse, dict(entries))
+    assert _outcome(validate, tables) == _outcome(validate_by_sweep, tables)
+
+
+def _z6_corrupted():
+    g = one_object_groupoid(cyclic_group(6))
+    return g, dict(g.compose) | {("g", "g2"): "g4"}  # g * g2 is g3
+
+
+def test_over_the_triple_cap_only_lights_witnesses_are_listed(monkeypatch):
+    # Z6 has 216 composable triples; Light's test checks the 36 through g.
+    g, compose = _z6_corrupted()
+    full = _outcome(validate_by_sweep, _tables(g, compose))
+    monkeypatch.setattr(groupoid, "MAX_ASSOCIATIVITY_TRIPLES", 100)
+    listed = _outcome(validate, _tables(g, compose))
+    assert listed[-1].startswith("the list is partial: the 216 composable triples exceed")
+    assert listed[:-1] and set(listed[:-1]) < set(full)
+    assert [v for v in full if v in listed] == listed[:-1]
+
+
+def test_over_the_triple_cap_earlier_violations_come_first(monkeypatch):
+    g, compose = _z6_corrupted()
+    compose[("g", "g5")] = "g"  # also breaks g * inverse(g) = e
+    full = _outcome(validate_by_sweep, _tables(g, compose))
+    monkeypatch.setattr(groupoid, "MAX_ASSOCIATIVITY_TRIPLES", 100)
+    listed = _outcome(validate, _tables(g, compose))
+    earlier = [v for v in full if not v.startswith("associativity fails")]
+    assert earlier and listed[: len(earlier)] == earlier
+    assert set(listed[len(earlier) : -1]) <= set(full)
+    assert listed[-1].startswith("the list is partial")
+
+
+def test_light_test_past_the_cap_without_a_witness_is_refused(monkeypatch):
+    g = one_object_groupoid(cyclic_group(6))
+    monkeypatch.setattr(groupoid, "MAX_ASSOCIATIVITY_TRIPLES", 30)
+    with pytest.raises(SizeCapExceeded, match="Light's associativity test"):
+        validate(*_tables(g))
+
+
+def test_validate_z512_answers_promptly(time_limit):
+    group = cyclic_group(512)
+    with time_limit(3):
+        g = one_object_groupoid(group)
+    assert len(g) == 512
+
+
+def test_validate_answers_promptly_on_lights_worst_case(time_limit):
+    # Z2^9 needs nine generators, the most a group of order 512 can need,
+    # so Light's test checks 9 * 512^2 triples: still under the cap.
+    group = cyclic_group(2)
+    for _ in range(8):
+        group = direct_product(group, cyclic_group(2))
+    with time_limit(3):
+        g = one_object_groupoid(group)
+    assert len(g) == 512
+
