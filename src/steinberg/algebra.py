@@ -115,39 +115,37 @@ class SteinbergAlgebra:
             {g: c for g, c in zip(self.groupoid.elements, vec) if not f.is_zero(c)},
         )
 
-    def _translation_table(self, left: bool) -> list[list[int]]:
-        """Row g, column j: the index of g * element_j (left) or of
-        element_j * g (right), or -1 where the product is undefined."""
-        gpd = self.groupoid
-        table = []
-        for g in gpd.elements:
-            row = [-1] * self.dim
-            for j, b in enumerate(gpd.elements):
-                c = gpd.compose.get((g, b) if left else (b, g))
-                if c is not None:
-                    row[j] = gpd.index[c]
-            table.append(row)
-        return table
+    @cached_property
+    def _gather_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Both action tables, built in one pass over the composable pairs:
+        a b = c puts b at left[a][c] and a at right[b][c]."""
+        n, index = self.dim, self.groupoid.index
+        left = [[n] * n for _ in range(n)]
+        right = [[n] * n for _ in range(n)]
+        for (a, b), c in self.groupoid.compose.items():
+            i, j, k = index[a], index[b], index[c]
+            left[i][k] = j
+            right[j][k] = i
+        return left, right
 
     @cached_property
     def left_action_table(self) -> list[list[int]]:
-        """left_action_table[g][j] = index of g * element_j, or -1."""
-        return self._translation_table(left=True)
+        """left_action_table[g][k] = the j with g * element_j = element_k,
+        or n (the dimension) where no such j exists."""
+        return self._gather_tables[0]
 
     @cached_property
     def right_action_table(self) -> list[list[int]]:
-        """right_action_table[g][j] = index of element_j * g, or -1."""
-        return self._translation_table(left=False)
+        """right_action_table[g][k] = the j with element_j * g = element_k,
+        or n (the dimension) where no such j exists."""
+        return self._gather_tables[1]
 
     def _translate(self, row: list[int], vec: list) -> list:
-        """Translation by a fixed g is injective where defined, so the
-        product is a partial repositioning of the coordinates of vec."""
-        out = [self.field.zero] * self.dim
-        for j, c in enumerate(vec):
-            k = row[j]
-            if k >= 0 and not self.field.is_zero(c):
-                out[k] = c
-        return out
+        """Translation by a fixed g is injective where defined, so each
+        coordinate k of the product is coordinate row[k] of vec, or zero
+        where row[k] is n and points past vec into one appended zero."""
+        padded = [*vec, self.field.zero]
+        return [padded[j] for j in row]
 
     def left_action(self, g_index: int, vec: list) -> list:
         """The vector of 1_g * f."""
@@ -203,8 +201,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self) -> "AlgebraElement":
-        f = self.algebra.field
-        return AlgebraElement(self.algebra, {g: f.neg(c) for g, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)

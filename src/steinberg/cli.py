@@ -210,6 +210,7 @@ def _materialized_cross_check(graph_obj, report, field):
 
 
 def _cmd_graph_socle(args) -> int:
+    field = _load_field(args.field)
     try:
         graph_obj = graphs.from_json_obj(_load_json(args.graph))
     except ValueError as exc:
@@ -219,7 +220,6 @@ def _cmd_graph_socle(args) -> int:
     if not args.materialize:
         _print_doc(doc)
         return EXIT_OK
-    field = _load_field(args.field)
     try:
         ok, detail = _materialized_cross_check(graph_obj, report, field)
     except graphs.GraphHasCycleError as exc:

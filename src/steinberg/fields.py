@@ -37,7 +37,6 @@ def _scalar_text(text) -> str:
 class Rationals:
     """The field of rational numbers, scalars represented as Fraction."""
 
-    kind = "rationals"
     characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
@@ -53,9 +52,6 @@ class Rationals:
     def sub(self, a, b):
         return a - b
 
-    def neg(self, a):
-        return -a
-
     def mul(self, a, b):
         return a * b
 
@@ -63,9 +59,6 @@ class Rationals:
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return a * self.invert(b)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -101,8 +94,6 @@ class Rationals:
 class PrimeField:
     """GF(p) for a prime p < 2**31, scalars as least nonnegative residues."""
 
-    kind = "prime_field"
-
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
             raise TypeError("modulus must be an int")
@@ -130,9 +121,6 @@ class PrimeField:
     def sub(self, a, b):
         return (a - b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -142,9 +130,6 @@ class PrimeField:
             raise ZeroDivisionError("inversion of zero")
         # Fermat: a**(p-2) inverts a mod a prime p.
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return (a * self.invert(b)) % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

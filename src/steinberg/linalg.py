@@ -63,9 +63,3 @@ class EchelonBasis:
 
     def canonical(self) -> tuple[tuple, ...]:
         return tuple(tuple(row) for row in self.rows)
-
-
-def rref(field, rows: Iterable[Sequence], width: int) -> EchelonBasis:
-    basis = EchelonBasis(field, width)
-    basis.extend(rows)
-    return basis

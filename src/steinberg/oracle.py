@@ -12,7 +12,9 @@ for an absolute zero divisor: a nonzero a with a * 1_g * a = 0 for all g.
 
 Everything runs on numpy arrays, processed in enumeration order in bounded
 chunks; chunking does not affect any result.  The products 1_g * a of a
-chunk come from one gather through a precomputed index table.  Row
+chunk come from one gather through the algebra's left action table, which
+is built as a gather table: entry [g, k] names the coordinate of a that
+lands on coordinate k of 1_g * a, or n for an appended zero column.  Row
 reduction delays reduction mod p: entries live in the narrowest unsigned
 type that holds every sum a reduction accumulates between its reductions
 mod p, and only pivot columns and pivot rows are reduced along the way.
@@ -23,7 +25,7 @@ The engine (socle module) deliberately shares no linear algebra with this
 module.
 
 Both walks run once per connected block of the composition table.  A
-union-find over the nonzero entries of the left gather table, connectivity
+union-find over the entries below n of the left gather table, connectivity
 only and no orbit or isotropy reasoning, splits the basis into blocks: an
 entry [g, k] = j < n says 1_g * 1_j = 1_k, so every composable pair is one
 entry.  An element, its units and every product it takes part in share a
@@ -58,22 +60,16 @@ def _require_prime_field(algebra: SteinbergAlgebra) -> int:
 
 
 def _gather_tables(algebra: SteinbergAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """Gather tables of the left products 1_g * a and the right products a * 1_g.
+    """Gather tables of the left products 1_g * a and the right products a * 1_g:
+    the algebra's action tables as they are, in arrays.
 
-    Translation by a fixed g is injective where defined, so each coordinate
-    k of a product comes from at most one coordinate j of a; entry [g, k]
-    is that j, or n (a zero column) when nothing lands on k.
+    Entry [g, k] is the coordinate j of a that lands on coordinate k, or n
+    (a zero column) when nothing lands on k.
     """
-    n = algebra.dim
-
-    def gather(action_table: list[list[int]]) -> np.ndarray:
-        targets = np.array(action_table, dtype=np.intp)
-        table = np.full(targets.shape, n, dtype=np.intp)
-        g, j = np.nonzero(targets >= 0)
-        table[g, targets[g, j]] = j
-        return table
-
-    return gather(algebra.left_action_table), gather(algebra.right_action_table)
+    return (
+        np.array(algebra.left_action_table, dtype=np.intp),
+        np.array(algebra.right_action_table, dtype=np.intp),
+    )
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ class _Block:
 
 
 def _blocks(algebra: SteinbergAlgebra) -> list[_Block]:
-    """The connected blocks, by union-find over the nonzero entries of the
+    """The connected blocks, by union-find over the entries below n of the
     left gather table, ordered by their least coordinate.
 
     An entry [g, k] = j < n puts g, j and k in one block, so 1_a * 1_b is

@@ -79,9 +79,6 @@ class LeftIdeal:
     def contains(self, f: AlgebraElement) -> bool:
         return self._membership.contains(f.to_vector())
 
-    def same_subspace(self, other: "LeftIdeal") -> bool:
-        return self.canonical_matrix() == other.canonical_matrix()
-
     def __repr__(self):
         kind = "TwoSidedIdeal" if self.two_sided else "LeftIdeal"
         return f"{kind}(dim {self.dimension} of {self.algebra.dim})"

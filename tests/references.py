@@ -1,4 +1,5 @@
-"""Test-only references: small linear-algebra helpers, the exhaustive
+"""Test-only references: small linear-algebra helpers (among them rref, the
+one-call reduced echelon basis of a list of rows), the exhaustive
 minimality routes that the corner decision and the corner lemma in
 steinberg.socle replaced, the whole-algebra minimal ideal walk and the
 full-order absolute zero divisor search that the oracle's per-block
@@ -19,8 +20,14 @@ from steinberg.fields import PrimeField
 from steinberg.graphs import INFINITE, DirectedGraph, LinePointReport, VertexStatus
 from steinberg.groupoid import FiniteGroupoid, GroupoidValidationError
 from steinberg.limits import ENUM_CAP, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
-from steinberg.linalg import EchelonBasis, rref
+from steinberg.linalg import EchelonBasis
 from steinberg.socle import LeftIdeal, MinimalityReport
+
+
+def rref(field, rows, width: int) -> EchelonBasis:
+    basis = EchelonBasis(field, width)
+    basis.extend(rows)
+    return basis
 
 
 def span_dim(field, rows, width: int) -> int:

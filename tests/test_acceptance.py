@@ -24,7 +24,6 @@ from steinberg.graphs import (
     materialize_boundary_groupoid,
 )
 from steinberg.limits import SizeCapExceeded, check_enum_size
-from steinberg.linalg import rref
 from steinberg.oracle import (
     oracle_is_semiprime,
     oracle_minimal_ideals,
@@ -42,7 +41,7 @@ from steinberg.socle import (
 )
 from steinberg.algebra import bisection_product
 
-from references import same_subspace
+from references import rref, same_subspace
 
 Q = Rationals()
 FIELDS = (Q, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7))

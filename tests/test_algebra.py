@@ -11,6 +11,7 @@ from steinberg.algebra import (
     element_to_obj,
 )
 from steinberg.builders import (
+    all_groupoids_up_to,
     cyclic_group,
     one_object_groupoid,
     pair_groupoid,
@@ -20,6 +21,7 @@ from steinberg.builders import (
     transitive_groupoid,
 )
 from steinberg.fields import PrimeField, Rationals
+from steinberg.groupoid import validate
 
 Q = Rationals()
 
@@ -189,6 +191,32 @@ def test_action_tables_match_basis_multiplication():
             right = f * algebra.basis_element(gamma)
             assert algebra.left_action(i, vec) == left.to_vector()
             assert algebra.right_action(i, vec) == right.to_vector()
+
+
+def _renamed_and_shuffled(g, rng):
+    """g with fresh element ids listed in a shuffled order, its composition
+    table inserted in a shuffled order."""
+    names = {x: f"x{i}" for i, x in enumerate(rng.sample(g.elements, len(g.elements)))}
+    order = [names[x] for x in g.elements]
+    rng.shuffle(order)
+    entries = [((names[a], names[b]), names[c]) for (a, b), c in g.compose.items()]
+    rng.shuffle(entries)
+    maps = ({names[x]: names[m[x]] for x in g.elements} for m in (g.source_of, g.range_of, g.inverse_of))
+    return validate(order, *maps, dict(entries))
+
+
+def test_action_tables_are_gather_tables():
+    # Entry [g][k] is the j that 1_g * 1_j (left) or 1_j * 1_g (right)
+    # sends to 1_k, and n where nothing lands on k.
+    rng = random.Random(53)
+    renamed = [_renamed_and_shuffled(random_groupoid(rng, 24), rng) for _ in range(30)]
+    for g in all_groupoids_up_to(6) + renamed:
+        algebra = SteinbergAlgebra(g, Q)
+        n, i = algebra.dim, g.index
+        left = {(i[a], i[c]): i[b] for (a, b), c in g.compose.items()}
+        right = {(i[b], i[c]): i[a] for (a, b), c in g.compose.items()}
+        for table, expected in ((algebra.left_action_table, left), (algebra.right_action_table, right)):
+            assert table == [[expected.get((row, k), n) for k in range(n)] for row in range(n)]
 
 
 def test_vector_round_trip():

@@ -176,6 +176,7 @@ def test_usage_errors_exit_64(run, files):
         ("frobnicate",),  # unknown subcommand
         (),
         ("graph-socle", files["line3"], "--materialize", "--field", "galois"),
+        ("graph-socle", files["line3"], "--field", "galois"),
     ):
         code, out, err = run(*argv)
         assert code == 64

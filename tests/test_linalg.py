@@ -3,9 +3,9 @@ import random
 from fractions import Fraction
 
 from steinberg.fields import PrimeField, Rationals
-from steinberg.linalg import EchelonBasis, rref
+from steinberg.linalg import EchelonBasis
 
-from references import intersection_is_zero, same_subspace, span_dim
+from references import intersection_is_zero, rref, same_subspace, span_dim
 
 Q = Rationals()
 F2 = PrimeField(2)

@@ -18,7 +18,7 @@ from steinberg.builders import (
 from steinberg.fields import PrimeField, Rationals, field_from_designator
 from steinberg.groupoid import FiniteGroupoid
 from steinberg.limits import SizeCapExceeded
-from steinberg.linalg import EchelonBasis, rref
+from steinberg.linalg import EchelonBasis
 from steinberg.socle import (
     ABSOLUTE_ZERO_DIVISOR,
     DIVISION_IDEMPOTENT,
@@ -43,6 +43,7 @@ from references import (
     exhaustive_minimality,
     generated_dimension,
     intersection_is_zero,
+    rref,
 )
 
 Q = Rationals()
