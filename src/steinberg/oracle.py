@@ -11,18 +11,31 @@ is decided by the same walk (see _lines for why it suffices), searching
 for an absolute zero divisor: a nonzero a with a * 1_g * a = 0 for all g.
 
 Everything runs on numpy arrays, processed in enumeration order in bounded
-chunks; chunking does not affect any result.  The products 1_g * a of a
-chunk come from one gather through the algebra's left action table, which
-is built as a gather table: entry [g, k] names the coordinate of a that
-lands on coordinate k of 1_g * a, or n for an appended zero column.  Row
-reduction delays reduction mod p: entries live in the narrowest unsigned
-type that holds every sum a reduction accumulates between its reductions
-mod p, and only pivot columns and pivot rows are reduced along the way.
-Reduced echelon forms are canonical: a chunk's ideals are deduplicated by
-their bytes, and membership in an echelon span is one matrix product,
-because a member's entries at the pivot columns are its coefficients.
-The engine (socle module) deliberately shares no linear algebra with this
-module.
+chunks; chunking does not affect any result.  The algebra's left action
+table is built as a gather table: entry [g, k] names the coordinate of a
+that lands on coordinate k of 1_g * a, or n for an appended zero column.
+For p >= 3 the products 1_g * a of a chunk come from one gather through
+it, and row reduction delays reduction mod p: entries live in the
+narrowest unsigned type that holds every sum a reduction accumulates
+between its reductions mod p, and only pivot columns and pivot rows are
+reduced along the way.  Reduced echelon forms are canonical: a chunk's
+ideals are deduplicated by their bytes, and membership in an echelon span
+is one matrix product, because a member's entries at the pivot columns are
+its coefficients.  The engine (socle module) deliberately shares no linear
+algebra with this module.
+
+Over GF(2) both walks keep every product row as one packed uint32 word,
+coordinate k at bit 31 - k; the widest block the cap admits has 20
+coordinates.  A chunk's packed rows are the integer product of its 0/1
+vectors with a weight table built once per block from the gather table,
+looked up eight coordinates at a time (Four Russians), so no n x n stack
+is built and no float is used (see _word_tables).  Row reduction is XOR
+elimination across the stack (_xor_rref).  Its reduced words, indexed by
+pivot column, are the canonical key: the nonzero ones are the rank, and
+read in order they descend, which is echelon order.  Only the distinct
+ideals are unpacked to the uint8 rows the other fields give.  The
+semiprime walk gets each (a * 1_g) * a as one XOR-reduce of the packed
+words 1_h * a over the bits h of a * 1_g.
 
 Both walks run once per connected block of the composition table.  A
 union-find over the entries below n of the left gather table, connectivity
@@ -133,9 +146,9 @@ def _blocks(algebra: SteinbergAlgebra) -> list[_Block]:
 
 def _lines(q: int, n: int, lead: int):
     """One coefficient vector per scalar line of GF(q)^n whose leading
-    nonzero coordinate is lead, in increasing order of the integers whose
-    base-q digits they are (first coordinate, in canonical basis order,
-    most significant), in chunks of at most _chunk_rows_for(n) rows.
+    nonzero coordinate is lead, as the increasing integers whose base-q
+    digits they are (first coordinate, in canonical basis order, most
+    significant; see _digits), in chunks of at most _chunk_rows_for(n).
 
     The representative of a line is its vector with leading nonzero digit
     1, so the representatives led by coordinate lead are the integers in
@@ -148,14 +161,19 @@ def _lines(q: int, n: int, lead: int):
     the full enumeration.
     """
     chunk_rows = _chunk_rows_for(n)
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     m = n - 1 - lead
     start, stop = q**m, 2 * q**m
     while start < stop:
         upper = min(start + chunk_rows, stop)
-        indices = np.arange(start, upper, dtype=np.int64)
-        yield (indices[:, None] // powers[None, :]) % q
+        yield np.arange(start, upper, dtype=np.int64)
         start = upper
+
+
+def _digits(indices: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The coefficient vectors whose base-q digits the indices are (see
+    _lines), in int64."""
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (indices[:, None] // powers[None, :]) % q
 
 
 def _chunk_rows_for(n: int) -> int:
@@ -275,27 +293,125 @@ def _in_span(vectors: np.ndarray, rows: np.ndarray, p: int) -> bool:
     return bool((combos == vectors).all())
 
 
+# Width of the packed GF(2) rows: coordinate k of a row is bit 31 - k.
+_WORD_BITS = 32
+
+
+def _word_tables(table: np.ndarray) -> np.ndarray:
+    """Four Russians tables of the packed GF(2) products through a gather
+    table (see _products): words[i, g] packs 1_g * a_i (or a_i * 1_g), and
+    coordinate k of a row is bit 31 - k.
+
+    The weight table W[j, g] = 2**(31 - k) wherever table[g, k] = j < n,
+    else 0, packs the products: words = a @ W for 0/1 vectors a.  Each j
+    lands on at most one k for a given g, so the integer sum adds distinct
+    powers of two, carries nothing and is exact in uint32.  The product is
+    evaluated eight coordinates at a time: tables[t, v] is the sum of the
+    rows of W at the coordinates that byte t of a's index (see _lines)
+    holds, selected by the bits of v, so _packed_products takes one lookup
+    per byte in place of n multiply-adds per word.
+    """
+    n = table.shape[0]
+    if n > _WORD_BITS:
+        raise OverflowError(f"GF(2) rows of width {n} do not fit {_WORD_BITS}-bit words")
+    weights = np.zeros((n + 1, n), dtype=np.uint32)
+    g, k = np.indices(table.shape)
+    # Row n gathers the zero column's entries and is dropped.
+    weights[table, g] = np.uint32(1) << (_WORD_BITS - 1 - k).astype(np.uint32)
+    # Bit i of an index is coordinate n - 1 - i: reverse W's rows, pad them
+    # to whole bytes with zero rows.
+    byte_count = -(-n // 8)
+    by_bit = np.zeros((8 * byte_count, n), dtype=np.uint32)
+    by_bit[:n] = weights[n - 1 :: -1]
+    bits = (np.arange(256, dtype=np.uint32)[:, None] >> np.arange(8, dtype=np.uint32)) & 1
+    return np.stack([bits @ by_bit[8 * t : 8 * t + 8] for t in range(byte_count)])
+
+
+def _packed_products(indices: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """words[i, g]: the packed product of g with the vector whose binary
+    digits indices[i] is, by one lookup per byte in the _word_tables
+    (words[i] alone for the tables[:, :, g] of one g)."""
+    words = np.take(tables[0], indices & 255, axis=0)
+    for t in range(1, tables.shape[0]):
+        words |= np.take(tables[t], (indices >> (8 * t)) & 255, axis=0)
+    return words
+
+
+def _bit_shifts(n: int) -> np.ndarray:
+    """The right shifts that bring coordinates 0..n-1 of a packed word to
+    bit 0."""
+    return np.arange(_WORD_BITS - 1, _WORD_BITS - 1 - n, -1, dtype=np.uint32)
+
+
+def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 coordinates of packed GF(2) rows, in uint8 (last axis n)."""
+    return ((words[..., None] >> _bit_shifts(n)) & 1).astype(np.uint8)
+
+
+def _xor_rref(words: np.ndarray, cols: int) -> np.ndarray:
+    """Reduced row echelon form of a stack of GF(2) matrices whose rows are
+    packed words with cols coordinates (see _word_tables).
+
+    Returns pivots of shape (count, cols): pivots[i, c] is the word of the
+    reduced echelon row of words[i] whose pivot is column c, or 0 when c is
+    not a pivot column.  This layout is canonical, its nonzero words are
+    the rank, and read in order they are the echelon rows: a row's pivot is
+    its leading bit, so they descend.
+
+    Column c eliminates by XOR.  Rows that have not become pivots only ever
+    take XORs of earlier pivots, which were such rows, so before step c
+    they are zero left of c: as integers they are below 2**(32 - c), and
+    those with bit c set are the largest.  The step takes their maximum as
+    the pivot when it has bit c, and a zero pivot when no row has it.  The
+    pivot's leading bit is c, so row ^ pivot first differs from row at bit
+    c, and min(row, row ^ pivot) XORs the pivot into exactly the rows with
+    bit c: the other rows, the chosen one (which becomes zero) and the
+    earlier pivots, so the result is reduced.
+    """
+    count, rows = words.shape
+    # Row r of matrix i sits at [r, i]: every step runs across the stack.
+    work = np.zeros((cols + rows, count), dtype=np.uint32)
+    pivots, free = work[:cols], work[cols:]
+    free[...] = words.T
+    for col in range(cols):
+        top = free.max(axis=0)
+        pivot = top * (top >> np.uint32(_WORD_BITS - 1 - col))
+        for part in (pivots[:col], free):
+            np.minimum(part, part ^ pivot, out=part)
+        pivots[col] = pivot
+    return np.ascontiguousarray(pivots.T)
+
+
 def _enumerate_ideals(
-    p: int, n: int, products
+    p: int, n: int, table: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All distinct cyclic ideal subspaces of GF(p)^n, in first-generator
+    """All distinct cyclic ideal subspaces of GF(p)^n whose rows are the
+    products through the gather table (see _products), in first-generator
     order, as pairs (echelon rows, first generator vector)."""
     seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    tables = _word_tables(table) if p == 2 else None
     # The full order of GF(p)^n: the integers grow as the lead moves left.
     chunks = (chunk for lead in reversed(range(n)) for chunk in _lines(p, n, lead))
-    for chunk in chunks:
-        stacks = products(chunk)
-        ranks, reduced = _batched_rref(stacks, p)
-        # Zero rows pad every reduced matrix, so its bytes in the narrowest
-        # type holding p - 1 are a canonical key; np.unique keeps the first
-        # occurrence of each.
-        flat = reduced.reshape(chunk.shape[0], -1)
+    for indices in chunks:
+        if tables is None:
+            # Zero rows pad every reduced matrix, so its bytes in the
+            # narrowest type holding p - 1 are a canonical key.
+            ranks, reduced = _batched_rref(_products(_digits(indices, p, n), table, p), p)
+        else:
+            # So are the pivot-indexed words (see _xor_rref).
+            reduced = _xor_rref(_packed_products(indices, tables), n)
+        # np.unique keeps the first occurrence of each key.
+        flat = reduced.reshape(indices.shape[0], -1)
         keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0]
         _, first_indices = np.unique(keys, return_index=True)
         for i in np.sort(first_indices):
             key = keys[i].tobytes()
             if key not in seen:
-                seen[key] = (reduced[i, : ranks[i]].copy(), chunk[i].copy())
+                if tables is None:
+                    rows = reduced[i, : ranks[i]].copy()
+                else:
+                    rows = _unpack_words(reduced[i][reduced[i] != 0], n)
+                seen[key] = (rows, _digits(indices[i : i + 1], p, n)[0])
     return list(seen.values())
 
 
@@ -347,7 +463,7 @@ def _minimal_ideals(algebra: SteinbergAlgebra, side: str) -> list[LeftIdeal]:
     found = []
     for block in _blocks(algebra):
         table = block.left if side == "left" else block.right
-        ideals = _enumerate_ideals(p, block.size, lambda c: _products(c, table, p))
+        ideals = _enumerate_ideals(p, block.size, table)
         for rows, gen in _minimal_among(ideals, p):
             # Ideals of equal rank pad to the n x n matrix the unsplit walk
             # reduced with the same zero rows, so these bytes order them alike.
@@ -411,6 +527,45 @@ def oracle_right_socle(
     return _socle(algebra, minimal)
 
 
+def _zero_divisors(indices: np.ndarray, block: _Block, p: int) -> np.ndarray:
+    """The indices (see _lines) of the vectors a with a * 1_g * a = 0 for
+    every g of block, in order: a vector drops out at the first g with
+    a * 1_g * a != 0."""
+    chunk = _digits(indices, p, block.size)
+    dtype = _accumulator_dtype(p, block.size)
+    # left[i, h] is 1_h * a_i, so (a_i * 1_g) * a_i sums its coefficient of
+    # 1_h times left[i, h]: block.size products of reduced values, within
+    # the bound of dtype.
+    left = _products(chunk, block.left, p).astype(dtype, copy=False)
+    for g in range(block.size):
+        if not chunk.shape[0]:
+            break
+        shifted = _products(chunk, block.right[g : g + 1], p)[:, 0]  # a * 1_g
+        conv = np.einsum("ih,ihk->ik", shifted.astype(dtype, copy=False), left) % p
+        keep = ~conv.any(axis=1)
+        indices, chunk, left = indices[keep], chunk[keep], left[keep]
+    return indices
+
+
+def _xor_zero_divisors(
+    indices: np.ndarray, left_tables: np.ndarray, right_tables: np.ndarray
+) -> np.ndarray:
+    """_zero_divisors over GF(2), on packed words (see _word_tables)."""
+    n = left_tables.shape[2]
+    shifts = _bit_shifts(n)[:, None]
+    # left[h, i] is the word of 1_h * a_i, so (a_i * 1_g) * a_i is the XOR
+    # of left[h, i] over the bits h of the word of a_i * 1_g, which is
+    # packed only for the vectors still in the walk.
+    left = np.ascontiguousarray(_packed_products(indices, left_tables).T)
+    for g in range(n):
+        if not indices.shape[0]:
+            break
+        bits = (_packed_products(indices, right_tables[:, :, g]) >> shifts) & 1
+        keep = np.bitwise_xor.reduce(left * bits, axis=0) == 0
+        indices, left = indices[keep], left[:, keep]
+    return indices
+
+
 @dataclass
 class SemiprimeReport:
     semiprime: bool
@@ -437,29 +592,20 @@ def oracle_is_semiprime(algebra: SteinbergAlgebra) -> SemiprimeReport:
     p = _require_prime_field(algebra)
     n = algebra.dim
     check_enum_size(p, n)
-    owner = {
-        int(full): (block, lead)
-        for block in _blocks(algebra)
-        for lead, full in enumerate(block.index)
-    }
+    owner = {}
+    for block in _blocks(algebra):
+        tables = (_word_tables(block.left), _word_tables(block.right)) if p == 2 else None
+        for lead, full in enumerate(block.index):
+            owner[int(full)] = (block, lead, tables)
     for full in reversed(range(n)):
-        block, lead = owner[full]
-        dtype = _accumulator_dtype(p, block.size)
-        for chunk in _lines(p, block.size, lead):
-            # left[i, h] is 1_h * a_i, so (a_i * 1_g) * a_i sums its
-            # coefficient of 1_h times left[i, h]: block.size products of
-            # reduced values, within the bound of dtype.
-            left = _products(chunk, block.left, p).astype(dtype, copy=False)
-            # A line drops out at the first g with a * 1_g * a != 0; the
-            # rest keep their order, so chunk[0] is the first witness.
-            for g in range(block.size):
-                if not chunk.shape[0]:
-                    break
-                shifted = _products(chunk, block.right[g : g + 1], p)[:, 0]  # a * 1_g
-                conv = np.einsum("ih,ihk->ik", shifted.astype(dtype, copy=False), left) % p
-                keep = ~conv.any(axis=1)
-                chunk, left = chunk[keep], left[keep]
-            if chunk.shape[0]:
-                witness = block.embed(chunk[0], n)
+        block, lead, tables = owner[full]
+        for indices in _lines(p, block.size, lead):
+            if tables is None:
+                indices = _zero_divisors(indices, block, p)
+            else:
+                indices = _xor_zero_divisors(indices, *tables)
+            # The survivors keep their order, so the first is the witness.
+            if indices.shape[0]:
+                witness = block.embed(_digits(indices[:1], p, block.size)[0], n)
                 return SemiprimeReport(semiprime=False, witness=_element(algebra, witness))
     return SemiprimeReport(semiprime=True, witness=None)

@@ -180,17 +180,21 @@ def test_corner_requires_unit():
 
 
 def test_action_tables_match_basis_multiplication():
+    # random_groupoid draws unions of abelian groups, where a table filled
+    # from the wrong side still passes; nonabelian isotropy tells the sides
+    # apart.
     rng = random.Random(41)
+    nonabelian = transitive_groupoid(["p", "q"], symmetric_group_3())
     for field in (Q, PrimeField(2)):
-        g = random_groupoid(rng, 10)
-        algebra = SteinbergAlgebra(g, field)
-        f = random_element(rng, algebra)
-        vec = f.to_vector()
-        for i, gamma in enumerate(g.elements):
-            left = algebra.basis_element(gamma) * f
-            right = f * algebra.basis_element(gamma)
-            assert algebra.left_action(i, vec) == left.to_vector()
-            assert algebra.right_action(i, vec) == right.to_vector()
+        for g in (random_groupoid(rng, 10), nonabelian):
+            algebra = SteinbergAlgebra(g, field)
+            f = random_element(rng, algebra)
+            vec = f.to_vector()
+            for i, gamma in enumerate(g.elements):
+                left = algebra.basis_element(gamma) * f
+                right = f * algebra.basis_element(gamma)
+                assert algebra.left_action(i, vec) == left.to_vector()
+                assert algebra.right_action(i, vec) == right.to_vector()
 
 
 def _renamed_and_shuffled(g, rng):

@@ -17,19 +17,26 @@ from steinberg.builders import (
     one_object_groupoid,
     pair_groupoid,
     random_groupoid,
+    symmetric_group_3,
     transitive_groupoid,
     trivial_groupoid,
 )
 from steinberg.fields import PrimeField, Rationals
 from steinberg.groupoid import from_json_obj, to_json_obj
-from steinberg.limits import SizeCapExceeded
+from steinberg.limits import ENUM_CAP, SizeCapExceeded
 from steinberg.oracle import (
+    _WORD_BITS,
     _accumulator_dtype,
     _batched_rref,
     _blocks,
+    _digits,
     _gather_tables,
     _in_span,
+    _packed_products,
     _products,
+    _unpack_words,
+    _word_tables,
+    _xor_rref,
     oracle_is_semiprime,
     oracle_minimal_ideals,
     oracle_minimal_right_ideals,
@@ -333,21 +340,58 @@ def _rank_deficient(gen, p, rows, cols):
     return gen.integers(0, p, size=(rows, inner)) @ gen.integers(0, p, size=(inner, cols))
 
 
+def _delayed_kernel(mats, p, dtype):
+    assert _accumulator_dtype(p, mats.shape[2]) is dtype
+    ranks, reduced = _batched_rref(mats, p)
+    assert reduced.dtype == np.min_scalar_type(p - 1) and ranks.dtype == np.int64
+    return ranks, reduced
+
+
+def _pack(bits):
+    """Rows of 0/1 entries as words, coordinate k at bit 31 - k."""
+    shifts = (_WORD_BITS - 1 - np.arange(bits.shape[-1])).astype(np.uint64)
+    return (bits.astype(np.uint64) @ (np.uint64(1) << shifts)).astype(np.uint32)
+
+
+def _word_kernel(mats, p, dtype):
+    """_xor_rref on the rows mod 2 packed into words, as (ranks, reduced)."""
+    assert p == 2
+    cols = mats.shape[2]
+    pivots = _xor_rref(_pack(mats % 2), cols)
+    assert pivots.dtype == dtype and pivots.shape == (mats.shape[0], cols)
+    unpacked = _unpack_words(pivots, cols)
+    # The word at column c is zero or has its pivot, its leading bit, at c.
+    nonzero = pivots != 0
+    assert (unpacked[:, np.arange(cols), np.arange(cols)] == nonzero).all()
+    assert not np.tril(unpacked, -1).any()
+    order = np.argsort(~nonzero, axis=1, kind="stable")
+    return nonzero.sum(axis=1), np.take_along_axis(unpacked, order[:, :, None], axis=1)
+
+
 @pytest.mark.parametrize(
-    "p, rows, cols, dtype",
+    "kernel, p, rows, cols, dtype",
     [
-        (2, 9, 16, np.uint8),
-        (2, 3, 300, np.uint16),
-        (3, 8, 8, np.uint8),
-        (3, 4, 70, np.uint16),
-        (5, 6, 9, np.uint8),
-        (7, 9, 8, np.uint16),
-        (17, 6, 6, np.uint16),
-        (257, 5, 4, np.uint32),
+        pytest.param(
+            _delayed_kernel, p, rows, cols, dtype, id=f"{p}-{rows}-{cols}-{dtype.__name__}"
+        )
+        for p, rows, cols, dtype in [
+            (2, 9, 16, np.uint8),
+            (2, 3, 300, np.uint16),
+            (3, 8, 8, np.uint8),
+            (3, 4, 70, np.uint16),
+            (5, 6, 9, np.uint8),
+            (7, 9, 8, np.uint16),
+            (17, 6, 6, np.uint16),
+            (257, 5, 4, np.uint32),
+        ]
+    ]
+    + [
+        # Width 20 is the widest GF(2) block ENUM_CAP admits, 32 the word.
+        pytest.param(_word_kernel, 2, rows, cols, np.uint32, id=f"words-{rows}-{cols}")
+        for rows, cols in [(4, 1), (9, 16), (20, 20), (40, 32)]
     ],
 )
-def test_batched_rref_matches_the_reference_echelon_form(p, rows, cols, dtype):
-    assert _accumulator_dtype(p, cols) is dtype
+def test_batched_rref_matches_the_reference_echelon_form(kernel, p, rows, cols, dtype):
     gen = np.random.default_rng(p * 1000 + cols)
     # entries outside [0, p) check that the input is reduced first
     mats = gen.integers(-2 * p, 2 * p, size=(12, rows, cols))
@@ -355,14 +399,30 @@ def test_batched_rref_matches_the_reference_echelon_form(p, rows, cols, dtype):
     mats[1] = _rank_deficient(gen, p, rows, cols)
     mats[2, :, : cols // 2] = 0
     mats[3, rows // 2 :] = mats[3, : rows - rows // 2] * 3
-    ranks, reduced = _batched_rref(mats, p)
-    assert reduced.dtype == np.min_scalar_type(p - 1) and ranks.dtype == np.int64
+    ranks, reduced = kernel(mats, p, dtype)
     field = PrimeField(p)
     for i, mat in enumerate(mats):
         expected = rref(field, mat.tolist(), cols).canonical()
         assert ranks[i] == len(expected)
         assert reduced[i, : ranks[i]].tolist() == [list(row) for row in expected]
         assert not reduced[i, ranks[i] :].any()
+
+
+def test_the_widest_gf2_block_fits_the_packed_word():
+    # The cap admits GF(2) blocks up to this width; a wider cap must widen
+    # the word, and the word tables refuse what does not fit.
+    widest = ENUM_CAP.bit_length() - 1
+    assert widest <= _WORD_BITS
+    algebra = SteinbergAlgebra(one_object_groupoid(cyclic_group(widest)), PrimeField(2))
+    (block,) = _blocks(algebra)
+    indices = np.array([1, 2**widest - 1, 2 ** (widest - 1) + 5, 0b1011 << 9], dtype=np.int64)
+    for table in (block.left, block.right):
+        words = _packed_products(indices, _word_tables(table))
+        stack = _products(_digits(indices, 2, widest), table, 2)
+        assert (_unpack_words(words, widest) == stack).all()
+    too_wide = np.full((_WORD_BITS + 1, _WORD_BITS + 1), _WORD_BITS + 1)
+    with pytest.raises(OverflowError):
+        _word_tables(too_wide)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -433,6 +493,12 @@ def test_products_match_the_action_tables():
                 for i, vec in enumerate(chunk.tolist()):
                     for g_index in range(algebra.dim):
                         assert stack[i, g_index].tolist() == action(g_index, vec)
+                if p == 2:
+                    # the packed words of the GF(2) walks, from each
+                    # vector's index (see _lines)
+                    indices = chunk @ (1 << np.arange(algebra.dim - 1, -1, -1))
+                    words = _packed_products(indices, _word_tables(table))
+                    assert (_unpack_words(words, algebra.dim) == stack).all()
 
 
 def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -452,8 +518,16 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
             disjoint_union(pair_groupoid(["a", "b"]), trivial_groupoid("z")), PrimeField(3)
         ),
         SteinbergAlgebra(one_object_groupoid(cyclic_group(3)), PrimeField(3)),
+        # Not semiprime over GF(2).  The witness is the 32nd line led by its
+        # coordinate in the S3 block, so the GF(2) walk reaches it across
+        # ten chunk borders.
+        SteinbergAlgebra(
+            disjoint_union(pair_groupoid(["a", "b"]), one_object_groupoid(symmetric_group_3())),
+            PrimeField(2),
+        ),
     ]
     whole = [summary(algebra) for algebra in algebras]
+    assert whole[-1][1] is not None
     monkeypatch.setattr(oracle, "_chunk_rows_for", lambda n: 3)
     assert [summary(algebra) for algebra in algebras] == whole
 
