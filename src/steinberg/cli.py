@@ -8,7 +8,9 @@ Exit codes: 0 success (for validate, only when the groupoid is valid),
 1 axiom violations from validate, 2 socle refusal under condition (LP),
 64 malformed inputs, 65 size caps, 70 cross-check mismatch (the
 --materialize comparison, or a failed internal check such as the oracle's
-closure check of its socle).
+closure check of its socle).  Only main turns an exception into a code:
+SizeCapExceeded is 65, any other RuntimeError is 70, and any ValueError,
+from a loader or from the CLI's own checks, is 64.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A fault the CLI finds itself, rather than a loader."""
 
 
 def _print_doc(doc: dict):
@@ -60,40 +62,21 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         # A RuntimeError, which main would report as a failed internal check.
         raise _UsageError(f"{path} nests too deeply to load: {exc}") from exc
 
 
 def _load_groupoid(path: str) -> groupoid.FiniteGroupoid:
-    try:
-        return groupoid.from_json_obj(_load_json(path))
-    except GroupoidValidationError as exc:
-        raise _UsageError(
-            "the groupoid violates axioms: " + "; ".join(exc.violations[:3])
-        ) from exc
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _load_field(designator: str):
-    try:
-        return field_from_designator(designator)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return groupoid.from_json_obj(_load_json(path))
 
 
 def _cmd_validate(args) -> int:
-    obj = _load_json(args.groupoid)
     try:
-        g = groupoid.from_json_obj(obj)
+        g = _load_groupoid(args.groupoid)
     except GroupoidValidationError as exc:
         _print_doc({"schema": 1, "valid": False, "violations": exc.violations})
         return EXIT_INVALID
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     _print_doc(
         {
             "schema": 1,
@@ -108,7 +91,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_socle(args) -> int:
     g = _load_groupoid(args.groupoid)
-    field = _load_field(args.field)
+    field = field_from_designator(args.field)
     algebra = SteinbergAlgebra(g, field)
     try:
         report = compute_socle(algebra)
@@ -128,7 +111,7 @@ def _cmd_socle(args) -> int:
 
 def _cmd_minimal(args) -> int:
     g = _load_groupoid(args.groupoid)
-    field = _load_field(args.field)
+    field = field_from_designator(args.field)
     algebra = SteinbergAlgebra(g, field)
     if args.unit not in g.index or not g.is_unit(args.unit):
         raise _UsageError(f"{args.unit!r} is not a unit of the groupoid")
@@ -144,9 +127,7 @@ def _cmd_minimal(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_groupoid(args.groupoid)
-    field = _load_field(args.field)
-    if not isinstance(field, PrimeField):
-        raise _UsageError("the oracle runs over prime fields only; use --field f<p>")
+    field = field_from_designator(args.field)
     algebra = SteinbergAlgebra(g, field)
     minimal = oracle_minimal_ideals(algebra)
     socle_ideal = oracle_socle(algebra, minimal=minimal)
@@ -210,20 +191,14 @@ def _materialized_cross_check(graph_obj, report, field):
 
 
 def _cmd_graph_socle(args) -> int:
-    field = _load_field(args.field)
-    try:
-        graph_obj = graphs.from_json_obj(_load_json(args.graph))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    field = field_from_designator(args.field)
+    graph_obj = graphs.from_json_obj(_load_json(args.graph))
     report = graphs.lpa_socle(graph_obj)
     doc = report.to_json_obj()
     if not args.materialize:
         _print_doc(doc)
         return EXIT_OK
-    try:
-        ok, detail = _materialized_cross_check(graph_obj, report, field)
-    except graphs.GraphHasCycleError as exc:
-        raise _UsageError(str(exc)) from exc
+    ok, detail = _materialized_cross_check(graph_obj, report, field)
     doc["cross_check"] = detail
     doc["cross_check_passed"] = ok
     _print_doc(doc)
@@ -270,9 +245,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP

@@ -261,19 +261,16 @@ def validate(
     if violations:
         raise GroupoidValidationError(violations)
 
-    position = {g: i for i, g in enumerate(elements)}
     units_s = {g for g in elements if s[g] == g}
-    units_r = {g for g in elements if r[g] == g}
-    if units_s != units_r:
-        for g in sorted(units_s ^ units_r, key=position.__getitem__):
+    for g in elements:
+        if (s[g] == g) != (r[g] == g):
             violations.append(f"{g!r} is fixed by exactly one of source and range")
-    idempotents = {g for g in elements if comp.get((g, g)) == g}
-    if idempotents != units_s:
-        for g in sorted(idempotents ^ units_s, key=position.__getitem__):
+    for g in elements:
+        if (comp.get((g, g)) == g) != (s[g] == g):
             violations.append(f"{g!r} is an idempotent or a unit but not both")
-    for u in units_s & units_r:
-        if inv[u] != u:
-            violations.append(f"unit {u!r} is not its own inverse")
+    for g in elements:
+        if s[g] == g == r[g] and inv[g] != g:
+            violations.append(f"unit {g!r} is not its own inverse")
 
     for g in elements:
         gi = inv[g]

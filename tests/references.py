@@ -279,8 +279,8 @@ def validate_by_sweep(elements, source_of, range_of, inverse_of, compose) -> Fin
     if idempotents != units_s:
         for g in sorted(idempotents ^ units_s, key=elements.index):
             violations.append(f"{g!r} is an idempotent or a unit but not both")
-    for u in units_s & units_r:
-        if inv[u] != u:
+    for u in elements:
+        if u in units_s and u in units_r and inv[u] != u:
             violations.append(f"unit {u!r} is not its own inverse")
 
     for g in elements:

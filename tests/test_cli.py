@@ -1,9 +1,20 @@
 import ast
+import contextlib
+import copy
+import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from references import associativity_fails
 
+import steinberg
 from steinberg import cli, oracle
 from steinberg.builders import (
     cyclic_group,
@@ -76,6 +87,33 @@ def test_validate_axiom_violation_exits_1(run, files, tmp_path):
     doc = json.loads(out)
     assert doc["valid"] is False
     assert doc["violations"]
+
+
+def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # four units whose inverse map pairs u with v and w with x: the
+    # violations must come out in element order, not in set order
+    pairs = {"u": "v", "v": "u", "w": "x", "x": "w"}
+    ids = {g: g for g in pairs}
+    path = tmp_path / "swapped-units.json"
+    path.write_text(json.dumps(
+        {"elements": list(pairs), "source": ids, "range": ids, "inverse": pairs,
+         "compose": [[g, g, g] for g in pairs]}
+    ))
+    src = str(Path(steinberg.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "steinberg", "validate", str(path)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 1, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    violations = json.loads(outputs.pop())["violations"]
+    assert [v for v in violations if v.startswith("unit ")] == [
+        f"unit {g!r} is not its own inverse" for g in pairs
+    ]
 
 
 def test_validate_refuses_a_corrupted_z512_promptly(run, tmp_path, time_limit):
@@ -368,28 +406,32 @@ SWEEP_COMMANDS = (
     ("oracle", "--field", "f2", "--semiprime"),
     ("graph-socle",),
     ("graph-socle", "--materialize", "--field", "f2"),
+    # bad fields: the groupoid loads first, so an over-cap input exits 65
+    ("socle", "--field", "galois"),
+    ("oracle", "--field", "q", "--semiprime"),
+    ("minimal", "--unit", "a", "--field", "f4"),
 )
 
 # The exit code of each command above, in order, on each input.
 SWEEP_CODES = {
-    "pair2": (0, 0, 0, 0, 64, 64),
-    "z2": (0, 2, 64, 0, 64, 64),  # LP fails; "a" is not one of its units
-    "pair5": (0, 0, 0, 65, 64, 64),  # 2^25 oracle vectors
-    "axiom-violation": (1, 64, 64, 64, 64, 64),
-    "over-cap": (65, 65, 65, 65, 64, 64),  # 513 units
-    "line3": (64, 64, 64, 64, 0, 0),
-    "loop": (64, 64, 64, 64, 0, 64),  # a cycle has no materialisation
-    "star23": (64, 64, 64, 64, 0, 65),  # 24 boundary paths, 576 elements
-    "truncated": (64,) * 6,
-    "empty": (64,) * 6,
-    "non-utf8": (64,) * 6,
-    "deep": (64,) * 6,  # json.load raises RecursionError, a RuntimeError
-    "nan": (64,) * 6,
-    "huge-int": (64,) * 6,
-    "top-level-array": (64,) * 6,
-    "wrong-types": (64,) * 6,
-    "missing": (64,) * 6,
-    "directory": (64,) * 6,
+    "pair2": (0, 0, 0, 0, 64, 64, 64, 64, 64),
+    "z2": (0, 2, 64, 0, 64, 64, 64, 64, 64),  # LP fails; "a" is not one of its units
+    "pair5": (0, 0, 0, 65, 64, 64, 64, 64, 64),  # 2^25 oracle vectors
+    "axiom-violation": (1, 64, 64, 64, 64, 64, 64, 64, 64),
+    "over-cap": (65, 65, 65, 65, 64, 64, 65, 65, 65),  # 513 units
+    "line3": (64, 64, 64, 64, 0, 0, 64, 64, 64),
+    "loop": (64, 64, 64, 64, 0, 64, 64, 64, 64),  # a cycle has no materialisation
+    "star23": (64, 64, 64, 64, 0, 65, 64, 64, 64),  # 24 boundary paths, 576 elements
+    "truncated": (64,) * 9,
+    "empty": (64,) * 9,
+    "non-utf8": (64,) * 9,
+    "deep": (64,) * 9,  # json.load raises RecursionError, a RuntimeError
+    "nan": (64,) * 9,
+    "huge-int": (64,) * 9,
+    "top-level-array": (64,) * 9,
+    "wrong-types": (64,) * 9,
+    "missing": (64,) * 9,
+    "directory": (64,) * 9,
 }
 
 
@@ -460,3 +502,103 @@ def test_exit_codes_mean_what_the_docstring_says(run, sweep_inputs, name):
             assert out == ""
             assert err.startswith("error: ")
             assert code == 64 or "cap" in err
+
+
+FUZZ_BASES = {
+    "pair2": to_json_obj(pair_groupoid(["a", "b"])),
+    "z2": to_json_obj(one_object_groupoid(cyclic_group(2))),
+    "line3": {"vertices": ["v1", "v2", "v3"], "edges": [["e1", "v1", "v2"], ["e2", "v2", "v3"]]},
+    "diamond": {
+        "vertices": ["s", "a", "b", "t"],
+        "edges": [["sa", "s", "a"], ["sb", "s", "b"], ["at", "a", "t"], ["bt", "b", "t"]],
+    },
+}
+FUZZ_VALUES = (None, 0, -1, 2.5, True, "", [], {}, ["a"], {"a": "a"}, [["a", "a", "a"]])
+
+
+def _containers(node):
+    if isinstance(node, (list, dict)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, list):
+        for child in node:
+            yield from _strings(child)
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            yield key
+            yield from _strings(child)
+
+
+def _mutate(doc, rng: random.Random):
+    """One random edit of a JSON document, in place: delete, duplicate or
+    swap an entry, or replace it by another id of the document or by a
+    value of the wrong type."""
+    ids = sorted(set(_strings(doc))) or ["a"]
+    node = rng.choice(list(_containers(doc)))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    if not keys:
+        if isinstance(node, dict):
+            node[rng.choice(ids)] = rng.choice(ids)
+        else:
+            node.append(rng.choice(ids))
+        return
+    key, other = rng.choice(keys), rng.choice(keys)
+    edit = rng.randrange(5)
+    if edit == 0:
+        del node[key]
+    elif edit == 1:
+        node[key] = rng.choice(ids)
+    elif edit == 2:
+        node[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    elif edit == 3 and isinstance(node, list):
+        node.insert(rng.randrange(len(node) + 1), copy.deepcopy(node[key]))
+    elif edit == 3:
+        node[rng.choice(ids)] = copy.deepcopy(node[key])
+    else:
+        node[key], node[other] = node[other], node[key]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from(sorted(FUZZ_BASES)),
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.integers(0, 4),
+    field=st.sampled_from(["q", "f2", "f3", "f4", "galois"]),
+    unit=st.sampled_from(["a", "e", "v1"]),
+)
+def test_mutated_documents_exit_with_a_documented_code(fuzz_path, base, seed, edits, field, unit):
+    rng = random.Random(seed)
+    doc = copy.deepcopy(FUZZ_BASES[base])
+    for _ in range(edits):
+        _mutate(doc, rng)
+    fuzz_path.write_text(json.dumps(doc))
+    for command in (
+        ("validate",),
+        ("socle", "--field", field),
+        ("minimal", "--unit", unit, "--field", field),
+        ("oracle", "--field", field, "--semiprime"),
+        ("graph-socle",),
+        ("graph-socle", "--materialize", "--field", field),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command[0], str(fuzz_path), *command[1:]])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in {0, 1, 2, 64, 65, 70}, command
+        assert "Traceback" not in out + err
+        if code in (0, 1, 2):
+            assert json.loads(out)["schema"] == 1
+        else:
+            assert out == "", command
+            assert err.splitlines()[-1].startswith("error: "), command

@@ -325,6 +325,19 @@ def test_validate_agrees_with_the_sweep_on_random_groupoids(seed, size, max_isot
     assert _outcome(validate, tables) == _outcome(validate_by_sweep, tables)
 
 
+@pytest.mark.parametrize("order", ["uvwx", "xwvu", "wuxv"])
+def test_validate_lists_unit_violations_in_element_order(order):
+    # four units whose inverse map pairs u with v and w with x
+    pairs = {"u": "v", "v": "u", "w": "x", "x": "w"}
+    ids = {g: g for g in order}
+    tables = (list(order), ids, ids, {g: pairs[g] for g in order}, {(g, g): g for g in order})
+    violations = _outcome(validate, tables)
+    assert [v for v in violations if v.startswith("unit ")] == [
+        f"unit {g!r} is not its own inverse" for g in order
+    ]
+    assert violations == _outcome(validate_by_sweep, tables)
+
+
 def _z6_corrupted():
     g = one_object_groupoid(cyclic_group(6))
     return g, dict(g.compose) | {("g", "g2"): "g4"}  # g * g2 is g3
