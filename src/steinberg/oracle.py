@@ -442,7 +442,6 @@ def _ideal_from_rows(
         algebra=algebra,
         generators=generators,
         basis=tuple(_element(algebra, row) for row in rows),
-        dimension=int(rows.shape[0]),
         two_sided=two_sided,
     )
 

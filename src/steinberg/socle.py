@@ -12,9 +12,11 @@ is minimal, and the character of the generator splits by the field:
 Minimality is decided in the corner 1_x A 1_x = K[xGx].  An orbit of k units
 spans a block with central indicator, a minimal left ideal I lies in one
 block, and I is minimal iff 1_x I is a simple K[xGx]-module; dim I is
-k * dim 1_x I.  A one-dimensional 1_x I, or trivial isotropy, decides the
-question by rank alone over any field; only nontrivial isotropy without a
-certificate enumerates, over GF(p), the p^(dim I / k) vectors of 1_x I.
+k * dim 1_x I.  The blocks I meets and the rows of 1_x I are read off the
+canonical rows of I, each of which lies in 1_y I for y its pivot's range.
+A one-dimensional 1_x I, or trivial isotropy, decides the question by rank
+alone over any field; only nontrivial isotropy without a certificate
+enumerates, over GF(p), the p^(dim I / k) vectors of 1_x I.
 
 Socle assembly only sees the semisimple part.  A unit x contributes 1_x to
 the socle exactly when its isotropy is trivial.  The engine refuses to
@@ -57,8 +59,11 @@ class LeftIdeal:
     algebra: SteinbergAlgebra
     generators: tuple[AlgebraElement, ...]
     basis: tuple[AlgebraElement, ...]
-    dimension: int
     two_sided: bool = False
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
     def basis_vectors(self) -> list[list]:
         return [b.to_vector() for b in self.basis]
@@ -66,15 +71,11 @@ class LeftIdeal:
     def canonical_matrix(self) -> tuple[tuple, ...]:
         return tuple(tuple(v) for v in self.basis_vectors())
 
-    def echelon(self) -> EchelonBasis:
-        """A fresh echelon basis of the ideal, free for the caller to extend."""
+    @cached_property
+    def _membership(self) -> EchelonBasis:
         basis = EchelonBasis(self.algebra.field, self.algebra.dim)
         basis.extend(self.basis_vectors())
         return basis
-
-    @cached_property
-    def _membership(self) -> EchelonBasis:
-        return self.echelon()
 
     def contains(self, f: AlgebraElement) -> bool:
         return self._membership.contains(f.to_vector())
@@ -113,7 +114,6 @@ def _generated_ideal(
         algebra=algebra,
         generators=tuple(generators),
         basis=tuple(algebra.from_vector(row) for row in basis.rows),
-        dimension=basis.dim,
         two_sided=two_sided,
     )
 
@@ -138,9 +138,11 @@ def two_sided_ideal(algebra: SteinbergAlgebra, generators: list[AlgebraElement])
 class MinimalIdealCertificate:
     """A generator of a minimal left ideal attached to a unit.
 
-    The generator is the isotropy sum (scaled to an idempotent when the
+    The generator is the isotropy sum t (scaled to an idempotent when the
     characteristic allows), and `flavour` records which side of the
-    dichotomy applies.  Verification is by direct convolution.
+    dichotomy applies.  Verification reads the isotropy table: when left
+    multiplication by each a in xGx permutes xGx, t * t = |xGx| t over the
+    integers, which makes t / |xGx| idempotent or t square to zero.
     """
 
     unit: str
@@ -165,49 +167,23 @@ def minimal_ideal_generator(algebra: SteinbergAlgebra, x: str) -> MinimalIdealCe
     field = algebra.field
     members = gpd.isotropy(x).members
     n = len(members)
+    group = set(members)
+    for a in members:
+        if {gpd.compose.get((a, b)) for b in members} != group:
+            raise RuntimeError(
+                f"left multiplication by {a!r} does not permute the isotropy group at unit {x!r}"
+            )
     isotropy_sum = algebra.element({g: field.one for g in members})
     n_in_field = field.from_integer(n)
     if not field.is_zero(n_in_field):
         generator = isotropy_sum.scale(field.invert(n_in_field))
         flavour = DIVISION_IDEMPOTENT
-        if generator * generator != generator:
-            raise RuntimeError(f"idempotency check failed at unit {x!r}")
     else:
         generator = isotropy_sum
         flavour = ABSOLUTE_ZERO_DIVISOR
-        if not (generator * generator).is_zero():
-            raise RuntimeError(f"square-zero check failed at unit {x!r}")
     return MinimalIdealCertificate(
         unit=x, isotropy_order=n, flavour=flavour, generator=generator
     )
-
-
-def normalize_generator(b: AlgebraElement) -> AlgebraElement:
-    """Left-translate b so that a unit carries a nonzero coefficient.
-
-    With g0 the least support element, a = 1_{inverse(g0)} * b satisfies
-    a(source(g0)) = b(g0) != 0, and a stays inside every left ideal
-    containing b.
-    """
-    if b.is_zero():
-        raise ValueError("cannot normalise the zero element")
-    algebra = b.algebra
-    g0 = b.support()[0]
-    return algebra.basis_element(algebra.groupoid.inv(g0)) * b
-
-
-def corner_compress(a: AlgebraElement, x: str) -> AlgebraElement:
-    """1_x * a * 1_x for a unit x in the support of a.
-
-    Compression by the local unit is a module isomorphism onto the corner
-    ideal, so minimality questions can be answered inside 1_x A 1_x.  A zero
-    result means x was not usable and is reported as an error.
-    """
-    algebra = a.algebra
-    compressed = algebra.corner(a, x)
-    if compressed.is_zero():
-        raise ValueError(f"corner compression at {x!r} is zero")
-    return compressed
 
 
 # -- minimality tests -----------------------------------------------------------
@@ -248,30 +224,28 @@ def _nonzero_combos(field: PrimeField, rows: list[list]) -> Iterator[list]:
         yield out
 
 
-def _restrict(row: list, keep: list[bool], zero) -> list:
-    """The vector of 1_U * f: the entries of f on the arrows whose range lies
-    in the unit set U, marked column by column in keep."""
-    return [c if k else zero for c, k in zip(row, keep)]
-
-
 def is_minimal_left_ideal(
     ideal: LeftIdeal,
     certificate: MinimalIdealCertificate | None = None,
 ) -> MinimalityReport:
     """Decide whether a left ideal I is minimal, inside a corner 1_x A 1_x.
 
-    For an orbit O of k units, 1_O = sum of the 1_y over y in O is central,
-    so I is the direct sum of the 1_O I and a minimal I lies in one block.
-    Inside the block of O, with x in O, L -> 1_x L maps the submodules of I
-    isomorphically onto the R_x-submodules of 1_x I, where
-    R_x = 1_x A 1_x = K[xGx], and dim I = k * dim 1_x I.  So I is minimal
-    iff 1_x I is a simple R_x-module, and any v in 1_x I that spans a proper
-    R_x-submodule is a witness.  x is the certificate's unit if one is
-    given, else the orbit representative, and the route that decided is
-    recorded in the report:
+    The unit indicators are orthogonal idempotents summing to 1, so I is the
+    direct sum of the 1_y I, on the disjoint columns of the arrows with
+    range y: each canonical row of I lies in the 1_y I of its pivot's range
+    y, its unit.  For an orbit O of k units, 1_O = sum of the 1_y over y in
+    O is central, and a minimal I lies in one block.  Inside the block of O,
+    with x in O, L -> 1_x L maps the submodules of I isomorphically onto the
+    R_x-submodules of 1_x I, where R_x = 1_x A 1_x = K[xGx], and
+    dim I = k * dim 1_x I.  So I is minimal iff 1_x I is a simple
+    R_x-module, and any v in 1_x I that spans a proper R_x-submodule is a
+    witness.  x is the certificate's unit if one is given, else the orbit
+    representative, and the canonical rows whose unit is x are the reduced
+    echelon basis of 1_x I.  The route that decided is recorded in the
+    report:
 
-    * "orbit blocks": I meets two blocks, and the first nonzero 1_O b is a
-      witness;
+    * "orbit blocks": I meets two blocks, and the first row in the first
+      block met is a witness (it is the first nonzero 1_O b);
     * "corner rank": dim 1_x I = 1 makes I minimal over any field; with
       trivial isotropy R_x = K, so for dim 1_x I > 1 a nonzero row of 1_x I
       is a witness;
@@ -300,46 +274,42 @@ def is_minimal_left_ideal(
         )
 
     rows = ideal.basis_vectors()
-    ranges = [gpd.r(g) for g in gpd.elements]
+    units = [gpd.r(b.support()[0]) for b in ideal.basis]
     orbits = gpd.orbit_classes()
     block_of = {y: i for i, orbit in enumerate(orbits) for y in orbit.members}
-    blocks = [block_of[y] for y in ranges]
-    met = sorted({blocks[j] for row in rows for j, c in enumerate(row) if not field.is_zero(c)})
-    if len(met) > 1:
-        in_first = [b == met[0] for b in blocks]
-        parts = (_restrict(row, in_first, field.zero) for row in rows)
-        witness = next(v for v in parts if not all(map(field.is_zero, v)))
-        return answer(False, "orbit blocks", witness)
+    blocks = [block_of[y] for y in units]
+    first = min(blocks)
+    if any(b != first for b in blocks):
+        return answer(False, "orbit blocks", rows[blocks.index(first)])
 
-    orbit = orbits[met[0]]
+    orbit = orbits[first]
     x = orbit.representative if certificate is None else certificate.unit
-    at_x = [y == x for y in ranges]
-    corner = EchelonBasis(field, n)
-    corner.extend(_restrict(row, at_x, field.zero) for row in rows)
-    if corner.dim * len(orbit) != dim:
+    corner = [row for row, y in zip(rows, units) if y == x]
+    d = len(corner)
+    if d * len(orbit) != dim:
         raise RuntimeError(
-            f"dim 1_x I = {corner.dim} at {x!r} times the orbit size {len(orbit)} "
+            f"dim 1_x I = {d} at {x!r} times the orbit size {len(orbit)} "
             f"is not dim I = {dim}"
         )
-    if corner.dim == 1:
+    if d == 1:
         return answer(True, "corner rank")
     if certificate is not None:
         return answer(False, "certified construction", certificate.generator.to_vector())
     isotropy = [gpd.index[h] for h in gpd.isotropy(x).members]
     if len(isotropy) == 1:
-        return answer(False, "corner rank", corner.rows[0])
+        return answer(False, "corner rank", corner[0])
     if not isinstance(field, PrimeField):
         raise ValueError(
             "over the rationals minimality with nontrivial isotropy is decided only "
             "for certificate-generated ideals"
         )
-    check_enum_size(field.p, corner.dim)
+    check_enum_size(field.p, d)
 
     def generates(vec: list) -> bool:
         images = (algebra.left_action(h, vec) for h in isotropy)
-        return _spans(field, n, images, corner.dim)
+        return _spans(field, n, images, d)
 
-    witness = next((v for v in _nonzero_combos(field, corner.rows) if not generates(v)), None)
+    witness = next((v for v in _nonzero_combos(field, corner) if not generates(v)), None)
     return answer(witness is None, f"corner exhaustive over GF({field.p})", witness)
 
 
@@ -408,7 +378,7 @@ def homogeneous_component(algebra: SteinbergAlgebra, x: str) -> ComponentDecompo
         if added != summand.dimension:
             raise RuntimeError(f"summands of the component at {x!r} are not independent")
     ideal = two_sided_ideal(algebra, [algebra.basis_element(x)])
-    if joint.canonical() != ideal.echelon().canonical():
+    if joint.canonical() != ideal.canonical_matrix():
         raise RuntimeError(f"component at {x!r} does not exhaust the two-sided ideal")
     return ComponentDecomposition(orbit=orbit, ideal=ideal, summands=summands)
 

@@ -194,7 +194,7 @@ def test_criterion_05_components_are_direct_sums(suite):
                         )
                         assert pair.dim == u.dimension + v.dimension
                 # and the sum is the whole two-sided ideal (1_x)
-                assert total.canonical() == decomposition.ideal.echelon().canonical()
+                assert total.canonical() == decomposition.ideal.canonical_matrix()
                 checked += 1
     print(f"[criterion 5] PASS: direct sum decomposition on {checked} components")
 
