@@ -11,9 +11,7 @@ acyclic graphs through their boundary-path groupoids.
 from .algebra import (
     AlgebraElement,
     SteinbergAlgebra,
-    bisection_inverse,
     bisection_product,
-    element_from_obj,
     element_to_obj,
 )
 from .builders import (
@@ -55,7 +53,6 @@ from .groupoid import (
     validate,
 )
 from .limits import MAX_GROUPOID_ELEMENTS, SizeCapExceeded
-from .linalg import EchelonBasis
 from .oracle import (
     SemiprimeReport,
     oracle_is_semiprime,
@@ -67,7 +64,6 @@ from .oracle import (
 from .socle import (
     ABSOLUTE_ZERO_DIVISOR,
     DIVISION_IDEMPOTENT,
-    ComponentDecomposition,
     LPReport,
     LPViolationError,
     LeftIdeal,
@@ -77,7 +73,6 @@ from .socle import (
     SocleReport,
     check_condition_LP,
     corner_minimality_transfer,
-    homogeneous_component,
     is_minimal_left_ideal,
     left_ideal,
     minimal_ideal_generator,
@@ -91,10 +86,8 @@ __all__ = [
     "ABSOLUTE_ZERO_DIVISOR",
     "AlgebraElement",
     "BoundaryPath",
-    "ComponentDecomposition",
     "DIVISION_IDEMPOTENT",
     "DirectedGraph",
-    "EchelonBasis",
     "FiniteGroupoid",
     "GraphHasCycleError",
     "GraphSocleReport",
@@ -117,7 +110,6 @@ __all__ = [
     "SocleReport",
     "SteinbergAlgebra",
     "all_groupoids_up_to",
-    "bisection_inverse",
     "bisection_product",
     "boundary_paths",
     "check_condition_LP",
@@ -126,11 +118,9 @@ __all__ = [
     "dihedral_group_4",
     "direct_product",
     "disjoint_union",
-    "element_from_obj",
     "element_to_obj",
     "field_from_designator",
     "groups_of_order",
-    "homogeneous_component",
     "is_minimal_left_ideal",
     "left_ideal",
     "line_points",

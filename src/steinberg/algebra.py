@@ -76,23 +76,6 @@ class SteinbergAlgebra:
             raise ValueError(f"not a bisection: {sorted(members)}")
         return self.element({g: self.field.one for g in members})
 
-    def global_unit(self) -> "AlgebraElement":
-        return self.indicator(self.groupoid.units())
-
-    def local_unit_for(self, fs: list["AlgebraElement"]) -> "AlgebraElement":
-        """1_U over the sources and ranges met by the supports of fs.
-
-        Acts as a two-sided identity on every element of the list.
-        """
-        if not fs:
-            raise ValueError("empty list")
-        units = set()
-        for f in fs:
-            for g in f.coeffs:
-                units.add(self.groupoid.s(g))
-                units.add(self.groupoid.r(g))
-        return self.indicator(sorted(units, key=self.groupoid.index.__getitem__))
-
     def corner(self, f: "AlgebraElement", x: str) -> "AlgebraElement":
         """1_x * f * 1_x, the restriction of f to the isotropy at the unit x.
 
@@ -275,10 +258,6 @@ def bisection_product(g: FiniteGroupoid, bs: Iterable[str], ds: Iterable[str]) -
     return sorted(out, key=g.index.__getitem__)
 
 
-def bisection_inverse(g: FiniteGroupoid, bs: Iterable[str]) -> list[str]:
-    return sorted({g.inv(b) for b in bs}, key=g.index.__getitem__)
-
-
 # -- textual element syntax ---------------------------------------------------
 #
 # An element serialises as [[coefficient, element-id], ...] in canonical
@@ -292,18 +271,3 @@ def element_to_obj(f: AlgebraElement) -> list[list[str]]:
         [field.format_scalar(c), g]
         for g, c in sorted(f.coeffs.items(), key=lambda kv: order[kv[0]])
     ]
-
-
-def element_from_obj(algebra: SteinbergAlgebra, obj) -> AlgebraElement:
-    if not isinstance(obj, list):
-        raise ValueError("element document must be a list of [coefficient, id] pairs")
-    coeffs: dict[str, object] = {}
-    field = algebra.field
-    for pair in obj:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"bad coefficient pair: {pair!r}")
-        text, g = pair
-        if g in coeffs:
-            raise ValueError(f"duplicate term for element {g!r}")
-        coeffs[g] = field.parse_scalar(text)
-    return algebra.element(coeffs)

@@ -28,12 +28,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _scalar_text(text) -> str:
-    if not isinstance(text, str):
-        raise ValueError(f"scalars are written as strings, got {text!r}")
-    return text
-
-
 class Rationals:
     """The field of rational numbers, scalars represented as Fraction."""
 
@@ -68,14 +62,6 @@ class Rationals:
 
     def format_scalar(self, a) -> str:
         return f"{a.numerator}/{a.denominator}"
-
-    def parse_scalar(self, text: str) -> Fraction:
-        num, _, den = _scalar_text(text).partition("/")
-        if not den:
-            raise ValueError(f"expected num/den, got {text!r}")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
 
     @property
     def designator(self) -> str:
@@ -139,14 +125,6 @@ class PrimeField:
 
     def format_scalar(self, a) -> str:
         return f"{a % self.p} mod {self.p}"
-
-    def parse_scalar(self, text: str) -> int:
-        value, _, modulus = _scalar_text(text).partition(" mod ")
-        if not modulus:
-            raise ValueError(f"expected 'k mod p', got {text!r}")
-        if int(modulus) != self.p:
-            raise ValueError(f"scalar {text!r} belongs to GF({modulus}), not GF({self.p})")
-        return int(value) % self.p
 
     @property
     def designator(self) -> str:

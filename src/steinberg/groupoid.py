@@ -103,9 +103,6 @@ class FiniteGroupoid:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: str) -> bool:
-        return g in self.index
-
     def __repr__(self):
         return f"FiniteGroupoid({len(self.elements)} elements, {len(self.units())} units)"
 

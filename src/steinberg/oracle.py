@@ -570,9 +570,6 @@ class SemiprimeReport:
     semiprime: bool
     witness: AlgebraElement | None
 
-    def __bool__(self) -> bool:
-        return self.semiprime
-
 
 def oracle_is_semiprime(algebra: SteinbergAlgebra) -> SemiprimeReport:
     """Search one nonzero a per scalar line for the absolute zero divisor

@@ -73,8 +73,14 @@ class LeftIdeal:
 
     @cached_property
     def _membership(self) -> EchelonBasis:
-        basis = EchelonBasis(self.algebra.field, self.algebra.dim)
-        basis.extend(self.basis_vectors())
+        # The canonical basis is already reduced echelon: seed it as is, each
+        # row's pivot being its first nonzero entry.
+        field = self.algebra.field
+        basis = EchelonBasis(field, self.algebra.dim)
+        basis.rows = self.basis_vectors()
+        basis.pivots = [
+            next(i for i, c in enumerate(row) if not field.is_zero(c)) for row in basis.rows
+        ]
         return basis
 
     def contains(self, f: AlgebraElement) -> bool:
@@ -195,9 +201,6 @@ class MinimalityReport:
     method: str
     dimension: int
     witness: AlgebraElement | None = None
-
-    def __bool__(self) -> bool:
-        return self.minimal
 
 
 def _spans(field, width: int, images: Iterable[list], target: int) -> bool:

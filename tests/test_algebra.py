@@ -5,9 +5,7 @@ import pytest
 
 from steinberg.algebra import (
     SteinbergAlgebra,
-    bisection_inverse,
     bisection_product,
-    element_from_obj,
     element_to_obj,
 )
 from steinberg.builders import (
@@ -90,7 +88,6 @@ def test_bisection_product_contents():
     # {a<b} * {b<a} = {a}: compose where source of the first meets range of the second
     assert bisection_product(g, ["a<b"], ["b<a"]) == ["a"]
     assert bisection_product(g, ["a<b"], ["a<b"]) == []
-    assert bisection_inverse(g, ["a<b", "b"]) == ["b", "b<a"]
 
 
 def test_indicator_rejects_non_bisection():
@@ -123,26 +120,10 @@ def test_involution_on_a_frozen_example():
     assert product.star() == algebra.basis_element("a")
 
 
-def test_local_units():
-    rng = random.Random(17)
-    for _ in range(20):
-        g = random_groupoid(rng, 12)
-        algebra = SteinbergAlgebra(g, Q)
-        f = random_element(rng, algebra)
-        h = random_element(rng, algebra)
-        u = algebra.local_unit_for([f, h])
-        assert u * u == u
-        for elt in (f, h):
-            assert u * elt == elt
-            assert elt * u == elt
-    with pytest.raises(ValueError):
-        algebra.local_unit_for([])
-
-
 def test_global_unit_is_identity():
     g = pair_groupoid(["a", "b", "c"])
     algebra = SteinbergAlgebra(g, Q)
-    one = algebra.global_unit()
+    one = algebra.indicator(g.units())
     rng = random.Random(2)
     f = random_element(rng, algebra)
     assert one * f == f
@@ -176,7 +157,7 @@ def test_corner_requires_unit():
     g = pair_groupoid(["a", "b"])
     algebra = SteinbergAlgebra(g, Q)
     with pytest.raises(ValueError):
-        algebra.corner(algebra.global_unit(), "a<b")
+        algebra.corner(algebra.indicator(g.units()), "a<b")
 
 
 def test_action_tables_match_basis_multiplication():
@@ -232,30 +213,18 @@ def test_vector_round_trip():
 
 def test_element_json_round_trip():
     g = pair_groupoid(["a", "b"])
-    for field in (Q, PrimeField(7)):
+    for field, expected in (
+        (Q, [["2/1", "a"], ["-3/1", "a<b"]]),
+        (PrimeField(7), [["2 mod 7", "a"], ["4 mod 7", "a<b"]]),
+    ):
         algebra = SteinbergAlgebra(g, field)
         f = algebra.element({"a": field.from_integer(2), "a<b": field.from_integer(-3)})
-        obj = element_to_obj(f)
-        assert element_from_obj(algebra, obj) == f
+        assert element_to_obj(f) == expected
+    assert element_to_obj(SteinbergAlgebra(g, Q).element({"a": Fraction(-1, 3)})) == [["-1/3", "a"]]
     # support is listed in canonical element order
     algebra = SteinbergAlgebra(g, Q)
     f = algebra.element({"b<a": 1, "a": 1})
     assert [pair[1] for pair in element_to_obj(f)] == ["a", "b<a"]
-
-
-def test_element_json_rejects_duplicates():
-    g = pair_groupoid(["a", "b"])
-    algebra = SteinbergAlgebra(g, Q)
-    with pytest.raises(ValueError):
-        element_from_obj(algebra, [["1/1", "a"], ["2/1", "a"]])
-
-
-@pytest.mark.parametrize("field", [Q, PrimeField(3)], ids=["q", "f3"])
-@pytest.mark.parametrize("scalar", ["1/0", "-2/0", 5, None, ["1/1"]])
-def test_element_json_rejects_malformed_scalars(field, scalar):
-    algebra = SteinbergAlgebra(pair_groupoid(["a", "b"]), field)
-    with pytest.raises(ValueError):
-        element_from_obj(algebra, [[scalar, "a"]])
 
 
 def test_zero_coefficients_are_dropped():
@@ -268,7 +237,7 @@ def test_zero_coefficients_are_dropped():
 
 def test_mixed_algebra_arithmetic_rejected():
     g = pair_groupoid(["a", "b"])
-    f2 = SteinbergAlgebra(g, PrimeField(2)).global_unit()
-    fq = SteinbergAlgebra(g, Q).global_unit()
+    f2 = SteinbergAlgebra(g, PrimeField(2)).indicator(g.units())
+    fq = SteinbergAlgebra(g, Q).indicator(g.units())
     with pytest.raises(ValueError):
         f2 + fq

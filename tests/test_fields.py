@@ -35,7 +35,7 @@ def test_rationals_scalar_round_trip():
     for num in range(-6, 7):
         for den in range(1, 5):
             a = Fraction(num, den)
-            assert k.parse_scalar(k.format_scalar(a)) == a
+            assert Fraction(k.format_scalar(a)) == a
     # coefficients always carry the denominator, matching the element syntax
     assert k.format_scalar(Fraction(3, 1)) == "3/1"
     assert k.format_scalar(Fraction(-1, 2)) == "-1/2"
@@ -75,9 +75,7 @@ def test_prime_field_coerce():
 def test_prime_field_scalar_format():
     k = PrimeField(5)
     assert k.format_scalar(3) == "3 mod 5"
-    assert k.parse_scalar("3 mod 5") == 3
-    with pytest.raises(ValueError):
-        k.parse_scalar("3 mod 7")
+    assert k.format_scalar(-2) == "3 mod 5"
 
 
 def test_field_designators():

@@ -251,7 +251,7 @@ def test_minimality_exhaustive_over_prime_field():
     assert exhaustive_minimality(ideal).minimal
 
     # trivial isotropy: the first row of 1_a A, 1_a itself, is the witness
-    full = left_ideal(algebra, [algebra.global_unit()])
+    full = left_ideal(algebra, [algebra.indicator(g.units())])
     report = is_minimal_left_ideal(full)
     assert not report.minimal
     assert report.method == "corner rank"
@@ -266,7 +266,7 @@ def test_minimality_certified_construction_finds_a_smaller_ideal():
     g = pair_groupoid(["a", "b", "c"])
     algebra = SteinbergAlgebra(g, Q)
     cert = minimal_ideal_generator(algebra, "a")
-    full = left_ideal(algebra, [algebra.global_unit()])
+    full = left_ideal(algebra, [algebra.indicator(g.units())])
     report = is_minimal_left_ideal(full, cert)
     assert not report.minimal
     assert report.method == "certified construction"
@@ -292,7 +292,7 @@ def test_minimality_char0_requires_certificate():
     # Z2 isotropy and dim 1_a A = 4 > 1: over q nothing decides without a
     # certificate, while trivial isotropy decides by rank alone
     algebra = SteinbergAlgebra(transitive_groupoid(["a", "b"], cyclic_group(2)), Q)
-    full = left_ideal(algebra, [algebra.global_unit()])
+    full = left_ideal(algebra, [algebra.indicator(algebra.groupoid.units())])
     with pytest.raises(ValueError, match="certificate"):
         is_minimal_left_ideal(full)
     cert = minimal_ideal_generator(algebra, "a")
@@ -395,6 +395,34 @@ def test_ideal_membership_reuses_one_echelon_basis(time_limit):
         assert all(ideal.contains(u * b) for u in units for b in ideal.basis)
 
 
+@pytest.mark.parametrize("field", [Q, PrimeField(3)], ids=["q", "f3"])
+def test_ideal_membership_inserts_no_rows(field, monkeypatch):
+    # the canonical basis is already reduced echelon; re-inserting its rows
+    # made the first contains on a 256-dimensional ideal of pair(16) over q
+    # take ~0.3 s
+    rng = random.Random(11)
+    g = transitive_groupoid([f"u{i}" for i in range(3)], cyclic_group(2))
+    algebra = SteinbergAlgebra(g, field)
+    # A f = A (1_u0 - 1_u0|g): its canonical rows carry 1 and -1, and it
+    # holds no single arrow
+    r = algebra.element({e: rng.randint(1, 4) for e in g.elements if g.s(e) == "u0"})
+    f = r * (algebra.basis_element("u0") - algebra.basis_element("u0|g"))
+    ideal = left_ideal(algebra, [f])
+    assert ideal.dimension == 3
+    outside = [e for e in g.elements if g.s(e) in ("u0", "u1")]
+    inserts = []
+    original = EchelonBasis.insert
+    monkeypatch.setattr(
+        EchelonBasis, "insert", lambda self, vec: inserts.append(vec) or original(self, vec)
+    )
+    for h in g.elements:
+        product = algebra.basis_element(h) * f
+        assert ideal.contains(product)
+        for e in outside:
+            assert not ideal.contains(product + algebra.basis_element(e))
+    assert inserts == []
+
+
 def test_minimality_dimension_cap_over_rationals(time_limit):
     # pair(13) over q lies past the former 12-dimension cap for char 0, which
     # raised SizeCapExceeded; dim 1_p0 I = 1 now decides it without enumeration,
@@ -469,7 +497,7 @@ def test_minimality_enumeration_cap_over_prime_field(time_limit):
     # are over the cap, and the refusal comes before any spin
     g = transitive_groupoid(["u0", "u1"], quaternion_group())
     algebra = SteinbergAlgebra(g, PrimeField(3))
-    ideal = left_ideal(algebra, [algebra.global_unit()])
+    ideal = left_ideal(algebra, [algebra.indicator(g.units())])
     assert ideal.dimension == 32
     with time_limit(1), pytest.raises(SizeCapExceeded, match="3\\^16"):
         is_minimal_left_ideal(ideal)
@@ -477,7 +505,7 @@ def test_minimality_enumeration_cap_over_prime_field(time_limit):
     # Z4 isotropy without a certificate still enumerates 1_u0 I: 3^12 vectors
     g = transitive_groupoid(["u0", "u1", "u2"], cyclic_group(4))
     algebra = SteinbergAlgebra(g, PrimeField(3))
-    ideal = left_ideal(algebra, [algebra.global_unit()])
+    ideal = left_ideal(algebra, [algebra.indicator(g.units())])
     assert ideal.dimension == 36
     report = is_minimal_left_ideal(ideal)
     assert not report.minimal
