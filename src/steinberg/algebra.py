@@ -33,17 +33,6 @@ class SteinbergAlgebra:
     def __repr__(self):
         return f"SteinbergAlgebra({self.groupoid!r}, {self.field!r})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SteinbergAlgebra)
-            and self.field == other.field
-            and self.groupoid.elements == other.groupoid.elements
-            and self.groupoid.compose == other.groupoid.compose
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.groupoid.elements))
-
     # -- construction of elements -------------------------------------------
 
     def zero(self) -> "AlgebraElement":

@@ -14,6 +14,7 @@ computation deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .limits import MAX_ASSOCIATIVITY_TRIPLES, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
@@ -60,7 +61,9 @@ class FiniteGroupoid:
     """A validated finite groupoid.  Treat instances as immutable.
 
     Construct through validate() or from_json_obj(); the constructor itself
-    performs no axiom checking.
+    performs no axiom checking.  Isotropy groups, transporter sets and orbits
+    are all read off one index from (range, source) to the arrows between
+    them, built on first use in one pass over the elements.
     """
 
     def __init__(
@@ -119,14 +122,19 @@ class FiniteGroupoid:
             raise KeyError(f"not an element: {x!r}")
         return self.range_of[x] == x
 
+    @cached_property
+    def _arrows(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """(range, source) -> the arrows between them, in canonical order."""
+        arrows: dict[tuple[str, str], list[str]] = {}
+        for g in self.elements:
+            arrows.setdefault((self.range_of[g], self.source_of[g]), []).append(g)
+        return {ends: tuple(found) for ends, found in arrows.items()}
+
     def isotropy(self, x: str) -> IsotropyGroup:
         """The isotropy group at a unit x."""
         if not self.is_unit(x):
             raise ValueError(f"isotropy is defined at units only, got {x!r}")
-        members = tuple(
-            g for g in self.elements if self.source_of[g] == x and self.range_of[g] == x
-        )
-        return IsotropyGroup(base_unit=x, members=members)
+        return IsotropyGroup(base_unit=x, members=self._arrows.get((x, x), ()))
 
     def transporter(self, y: str, x: str) -> tuple[str, ...]:
         """All arrows from x to y, i.e. {g : range(g) = y and source(g) = x}.
@@ -136,36 +144,26 @@ class FiniteGroupoid:
         """
         if not self.is_unit(y) or not self.is_unit(x):
             raise ValueError("transporter expects two units")
-        return tuple(
-            g for g in self.elements if self.range_of[g] == y and self.source_of[g] == x
-        )
+        return self._arrows.get((y, x), ())
 
     def orbit_classes(self) -> tuple[OrbitClass, ...]:
-        """The partition of the unit space by the orbit relation."""
-        if self._orbits is not None:
-            return self._orbits
-        units = self.units()
-        parent = {u: u for u in units}
+        """The partition of the unit space by the orbit relation.
 
-        def find(u: str) -> str:
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for g in self.elements:
-            a, b = find(self.range_of[g]), find(self.source_of[g])
-            if a != b:
-                parent[a] = b
-        groups: dict[str, list[str]] = {}
-        for u in units:  # canonical order
-            groups.setdefault(find(u), []).append(u)
-        classes = [
-            OrbitClass(representative=members[0], members=tuple(members))
-            for members in groups.values()
-        ]
-        classes.sort(key=lambda c: self.index[c.representative])
-        self._orbits = tuple(classes)
+        Each class is the least unit not yet placed together with every unit
+        its arrows reach, members in canonical order.
+        """
+        if self._orbits is None:
+            reach: dict[str, list[str]] = {}
+            for y, x in self._arrows:
+                reach.setdefault(x, []).append(y)
+            placed: set[str] = set()
+            classes = []
+            for x in self.units():
+                if x not in placed:
+                    members = tuple(sorted(reach[x], key=self.index.__getitem__))
+                    placed.update(members)
+                    classes.append(OrbitClass(representative=x, members=members))
+            self._orbits = tuple(classes)
         return self._orbits
 
     def orbit_of(self, x: str) -> OrbitClass:
@@ -404,11 +402,12 @@ def from_json_obj(obj) -> FiniteGroupoid:
         raise ValueError("'compose' must be a list of [a, b, ab] triples")
     compose: dict[tuple[str, str], str] = {}
     for row in compose_rows:
-        if not (isinstance(row, list) and len(row) == 3):
+        if not (
+            isinstance(row, list) and len(row) == 3
+            and isinstance(row[0], str) and isinstance(row[1], str) and isinstance(row[2], str)
+        ):
             raise ValueError(f"bad composition triple: {row!r}")
         a, b, c = row
-        if not (isinstance(a, str) and isinstance(b, str) and isinstance(c, str)):
-            raise ValueError(f"bad composition triple: {row!r}")
         if (a, b) in compose:
             raise ValueError(f"duplicate composition entry for ({a!r}, {b!r})")
         compose[(a, b)] = c

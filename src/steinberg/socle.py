@@ -22,9 +22,10 @@ Socle assembly only sees the semisimple part.  A unit x contributes 1_x to
 the socle exactly when its isotropy is trivial.  The engine refuses to
 assemble a socle unless every unit has trivial isotropy (condition (LP)
 specialised to finite groupoids); one violator is enough to make the refusal
-explicit rather than silent.  Under (LP) the arrow y <- x between two units
-of an orbit is unique, and the arrows of an orbit of k units are matrix units
-e_yx of a full matrix algebra M_k(K).  The socle is then the whole algebra:
+explicit rather than silent.  Under (LP) the transporter set yGx of arrows
+from x to y, for two units of an orbit, holds exactly one arrow e_yx, and
+these transporter sets are the matrix units of a full matrix algebra M_k(K)
+for an orbit of k units.  The socle is then the whole algebra:
 socle() certifies the matrix-unit relations straight from the composition
 table and emits the standard basis, without any row reduction.
 homogeneous_component() computes the same blocks by spanning translates of
@@ -72,15 +73,17 @@ class LeftIdeal:
         return tuple(tuple(v) for v in self.basis_vectors())
 
     @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Each canonical row's pivot: the index of its first nonzero entry."""
+        index = self.algebra.groupoid.index
+        return tuple(min(map(index.__getitem__, b.coeffs)) for b in self.basis)
+
+    @cached_property
     def _membership(self) -> EchelonBasis:
-        # The canonical basis is already reduced echelon: seed it as is, each
-        # row's pivot being its first nonzero entry.
-        field = self.algebra.field
-        basis = EchelonBasis(field, self.algebra.dim)
+        # The canonical basis is already reduced echelon: seed it as is.
+        basis = EchelonBasis(self.algebra.field, self.algebra.dim)
         basis.rows = self.basis_vectors()
-        basis.pivots = [
-            next(i for i, c in enumerate(row) if not field.is_zero(c)) for row in basis.rows
-        ]
+        basis.pivots = list(self.pivots)
         return basis
 
     def contains(self, f: AlgebraElement) -> bool:
@@ -277,7 +280,7 @@ def is_minimal_left_ideal(
         )
 
     rows = ideal.basis_vectors()
-    units = [gpd.r(b.support()[0]) for b in ideal.basis]
+    units = [gpd.r(gpd.elements[p]) for p in ideal.pivots]
     orbits = gpd.orbit_classes()
     block_of = {y: i for i, orbit in enumerate(orbits) for y in orbit.members}
     blocks = [block_of[y] for y in units]
@@ -424,44 +427,38 @@ class SocleReport:
         }
 
 
-def _arrows_by_ends(gpd: FiniteGroupoid) -> dict[tuple[str, str], str]:
-    """(range, source) -> the arrow between them; unique under (LP)."""
-    arrows: dict[tuple[str, str], str] = {}
-    for g in gpd.elements:
-        key = (gpd.r(g), gpd.s(g))
-        if key in arrows:
-            raise RuntimeError(
-                f"arrows {arrows[key]!r} and {g!r} both run from {key[1]!r} to {key[0]!r}"
-            )
-        arrows[key] = g
-    return arrows
-
-
-def _certify_matrix_units(
-    gpd: FiniteGroupoid, orbit: OrbitClass, arrows: dict[tuple[str, str], str]
-) -> None:
+def _certify_matrix_units(gpd: FiniteGroupoid, orbit: OrbitClass) -> None:
     """e_yx * e_xz = e_yz for all units y, x, z of the orbit, by table lookup.
 
+    e_yx is the one arrow of the transporter set yGx, unique under (LP).
     Products of non-composable arrows vanish by the definition of the
     convolution, so these relations make the arrows of an orbit of k units a
     full system of k x k matrix units.
     """
     members = orbit.members
-    try:
-        for x in members:
-            into_x = [(y, arrows[(y, x)]) for y in members]
-            for z in members:
-                e_xz = arrows[(x, z)]
-                for y, e_yx in into_x:
-                    if gpd.compose.get((e_yx, e_xz)) != arrows[(y, z)]:
-                        raise RuntimeError(
-                            f"matrix units fail at ({y!r}, {x!r}, {z!r}): "
-                            f"{e_yx!r} * {e_xz!r} is not {arrows[(y, z)]!r}"
-                        )
-    except KeyError as exc:
-        raise RuntimeError(
-            f"the orbit of {orbit.representative!r} has no arrow for (range, source) = {exc.args[0]!r}"
-        ) from None
+    e: dict[tuple[str, str], str] = {}
+    for y, x in product(members, repeat=2):
+        arrows = gpd.transporter(y, x)
+        if not arrows:
+            raise RuntimeError(
+                f"the orbit of {orbit.representative!r} has no arrow for "
+                f"(range, source) = {(y, x)!r}"
+            )
+        if len(arrows) > 1:
+            raise RuntimeError(
+                f"arrows {arrows[0]!r} and {arrows[1]!r} both run from {x!r} to {y!r}"
+            )
+        e[y, x] = arrows[0]
+    for x in members:
+        into_x = [(y, e[y, x]) for y in members]
+        for z in members:
+            e_xz = e[x, z]
+            for y, e_yx in into_x:
+                if gpd.compose.get((e_yx, e_xz)) != e[y, z]:
+                    raise RuntimeError(
+                        f"matrix units fail at ({y!r}, {x!r}, {z!r}): "
+                        f"{e_yx!r} * {e_xz!r} is not {e[y, z]!r}"
+                    )
 
 
 def socle(algebra: SteinbergAlgebra) -> SocleReport:
@@ -476,10 +473,9 @@ def socle(algebra: SteinbergAlgebra) -> SocleReport:
     if not report.holds:
         raise LPViolationError(report)
     gpd = algebra.groupoid
-    arrows = _arrows_by_ends(gpd)
     components = []
     for orbit in gpd.orbit_classes():
-        _certify_matrix_units(gpd, orbit, arrows)
+        _certify_matrix_units(gpd, orbit)
         k = len(orbit)
         components.append(SocleComponent(orbit=orbit, dimension=k * k, matrix_size=k))
     if sum(c.dimension for c in components) != algebra.dim:

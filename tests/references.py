@@ -4,9 +4,11 @@ minimality routes that the corner decision and the corner lemma in
 steinberg.socle replaced, the whole-algebra minimal ideal walk and the
 full-order absolute zero divisor search that the oracle's per-block
 scalar-line walks replaced, and the per-vertex reachability
-that steinberg.graphs' flood and peel replaced, and the groupoid
+that steinberg.graphs' flood and peel replaced, the groupoid
 validation that checked associativity on every composable triple before
-steinberg.groupoid checked it by Light's test.
+steinberg.groupoid checked it by Light's test, and the isotropy and
+transporter scans and the union-find orbits that FiniteGroupoid's
+(range, source) index replaced.
 
 Nothing here is part of the library; tests compare the engine against these
 slow, assumption-free versions.
@@ -18,7 +20,7 @@ from itertools import product
 
 from steinberg.fields import PrimeField
 from steinberg.graphs import INFINITE, DirectedGraph, LinePointReport, VertexStatus
-from steinberg.groupoid import FiniteGroupoid, GroupoidValidationError
+from steinberg.groupoid import FiniteGroupoid, GroupoidValidationError, IsotropyGroup, OrbitClass
 from steinberg.limits import ENUM_CAP, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
 from steinberg.linalg import EchelonBasis
 from steinberg.socle import LeftIdeal, MinimalityReport
@@ -308,3 +310,49 @@ def validate_by_sweep(elements, source_of, range_of, inverse_of, compose) -> Fin
     if violations:
         raise GroupoidValidationError(violations)
     return FiniteGroupoid(elements, s, r, inv, comp)
+
+
+def scanned_units(g: FiniteGroupoid) -> tuple[str, ...]:
+    return tuple(e for e in g.elements if g.range_of[e] == e)
+
+
+def scanned_isotropy(g: FiniteGroupoid, x: str) -> IsotropyGroup:
+    """The isotropy group at a unit x, by a scan of every element."""
+    if not g.is_unit(x):
+        raise ValueError(f"isotropy is defined at units only, got {x!r}")
+    members = tuple(e for e in g.elements if g.source_of[e] == x and g.range_of[e] == x)
+    return IsotropyGroup(base_unit=x, members=members)
+
+
+def scanned_transporter(g: FiniteGroupoid, y: str, x: str) -> tuple[str, ...]:
+    """All arrows from x to y, by a scan of every element."""
+    if not g.is_unit(y) or not g.is_unit(x):
+        raise ValueError("transporter expects two units")
+    return tuple(e for e in g.elements if g.range_of[e] == y and g.source_of[e] == x)
+
+
+def union_find_orbit_classes(g: FiniteGroupoid) -> tuple[OrbitClass, ...]:
+    """The orbit classes by union-find over every arrow's ends: members in
+    canonical order, classes ordered by their least member."""
+    units = scanned_units(g)
+    parent = {u: u for u in units}
+
+    def find(u: str) -> str:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for e in g.elements:
+        a, b = find(g.range_of[e]), find(g.source_of[e])
+        if a != b:
+            parent[a] = b
+    groups: dict[str, list[str]] = {}
+    for u in units:  # canonical order
+        groups.setdefault(find(u), []).append(u)
+    classes = [
+        OrbitClass(representative=members[0], members=tuple(members))
+        for members in groups.values()
+    ]
+    classes.sort(key=lambda c: g.index[c.representative])
+    return tuple(classes)

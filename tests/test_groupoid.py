@@ -26,7 +26,13 @@ from steinberg.groupoid import (
 )
 from steinberg.limits import SizeCapExceeded
 
-from references import validate_by_sweep
+from references import (
+    scanned_isotropy,
+    scanned_transporter,
+    scanned_units,
+    union_find_orbit_classes,
+    validate_by_sweep,
+)
 
 
 def test_trivial_groupoid():
@@ -246,6 +252,35 @@ def test_json_round_trip_on_random_groupoids(seed, size, rename):
         g = renamed(g, rng)
     doc = to_json_obj(g)
     assert to_json_obj(from_json_obj(json.loads(json.dumps(doc)))) == doc
+
+
+def _assert_structure_matches_the_scans(g):
+    units = g.units()
+    assert units == scanned_units(g)
+    for x in units:
+        assert g.isotropy(x) == scanned_isotropy(g, x)
+        for y in units:
+            assert g.transporter(y, x) == scanned_transporter(g, y, x)
+    classes = union_find_orbit_classes(g)
+    assert g.orbit_classes() == classes  # representatives, member and class order
+    for x in units:
+        assert g.orbit_of(x) == next(c for c in classes if x in c.members)
+
+
+def test_structure_queries_match_the_scans_on_small_groupoids():
+    for g in all_groupoids_up_to(6):
+        _assert_structure_matches_the_scans(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40), max_isotropy=st.integers(1, 4))
+def test_structure_queries_match_the_scans_on_random_groupoids(seed, size, max_isotropy):
+    # renamed lists the elements in a shuffled order, so the least unit is
+    # not necessarily the first one built and arrows precede their units
+    rng = random.Random(seed)
+    _assert_structure_matches_the_scans(
+        renamed(random_groupoid(rng, size, max_isotropy=max_isotropy), rng)
+    )
 
 
 def _tables(g, compose=None):

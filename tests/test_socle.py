@@ -669,6 +669,24 @@ def test_socle_rejects_two_arrows_between_the_same_units():
         socle(SteinbergAlgebra(twin, Q))
 
 
+def test_socle_rejects_an_orbit_with_a_missing_arrow():
+    # a star: arrows a <-> b and a <-> c, but none between b and c, so a, b
+    # and c form one orbit whose transporter set from c to b is empty
+    g = pair_groupoid(["a", "b", "c"])
+    gone = {"b<c", "c<b"}
+    kept = [e for e in g.elements if e not in gone]
+    star = FiniteGroupoid(
+        kept,
+        *({e: m[e] for e in kept} for m in (g.source_of, g.range_of, g.inverse_of)),
+        {ab: c for ab, c in g.compose.items() if gone.isdisjoint((*ab, c))},
+    )
+    assert check_condition_LP(star).holds
+    assert [c.members for c in star.orbit_classes()] == [("a", "b", "c")]
+    with pytest.raises(RuntimeError, match="has no arrow") as exc_info:
+        socle(SteinbergAlgebra(star, Q))
+    assert not isinstance(exc_info.value, LPViolationError)
+
+
 def test_homogeneous_component_direct_sum():
     algebra = SteinbergAlgebra(pair_groupoid(["a", "b", "c"]), Q)
     decomposition = homogeneous_component(algebra, "a")
