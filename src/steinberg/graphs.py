@@ -11,7 +11,8 @@ sink terminating some line point contributes one matrix block whose size is
 the number of finite paths into that sink (counting the trivial path), or
 INFINITE when a cycle feeds the sink.  No line points means zero socle; a
 vertex on a cycle contributes nothing because its isotropy is a copy of the
-integers.
+integers.  line_points and lpa_socle return the same report, which holds
+each vertex's status and these blocks.
 
 Two traversals serve every question.  A backward flood from marked
 vertices, taken in sorted order, gives each vertex the least mark it
@@ -182,10 +183,49 @@ class VertexStatus:
 
 
 @dataclass(frozen=True)
-class LinePointReport:
+class SocleBlock:
+    class_representative: str  # the serialised boundary path at the sink
+    size: object  # int or INFINITE
+
+
+@dataclass(frozen=True)
+class GraphSocleReport:
+    """Each vertex's status and one matrix block per sink that ends a
+    line point's boundary path, in vertex order."""
+
     line_points: tuple[str, ...]
+    blocks: tuple[SocleBlock, ...]
     per_vertex: dict[str, VertexStatus]
-    sink_sizes: dict[str, object]  # orbit size by the sink of a line point
+
+    @property
+    def socle_is_zero(self) -> bool:
+        return not self.line_points
+
+    def to_json_obj(self) -> dict:
+        return {
+            "schema": 1,
+            "line_points": list(self.line_points),
+            "vertices": {
+                v: (
+                    {
+                        "line_point": True,
+                        "boundary_path": st.boundary_path,
+                        "orbit_size": "infinite" if st.orbit_size is INFINITE else st.orbit_size,
+                    }
+                    if st.is_line_point
+                    else {"line_point": False, "reason": st.failure_reason}
+                )
+                for v, st in self.per_vertex.items()
+            },
+            "blocks": [
+                {
+                    "class_representative": b.class_representative,
+                    "size": "infinite" if b.size is INFINITE else b.size,
+                }
+                for b in self.blocks
+            ],
+            "socle_is_zero": self.socle_is_zero,
+        }
 
 
 def _least_reached(g: DirectedGraph, marks) -> dict[str, str]:
@@ -226,14 +266,17 @@ def _peel(vertices, after) -> tuple[list[str], list[str]]:
     return order, [v for v, n in pending.items() if n]
 
 
-def line_points(g: DirectedGraph) -> LinePointReport:
-    """Each vertex's status.  A vertex that reaches a branching vertex is
-    named by the least one.  The others emit at most one edge each, so
-    peeling them leaves exactly their cycles, and a vertex that reaches
-    one is named by the least cycle vertex it reaches.  The rest are line
-    points; the peel puts each before its successor, so one backward pass
-    sums their path lengths, which are refused over
-    MAX_BOUNDARY_PATH_EDGES before any walk is built."""
+def line_points(g: DirectedGraph) -> GraphSocleReport:
+    """Each vertex's status and the socle's blocks.  A vertex that reaches
+    a branching vertex is named by the least one.  The others emit at most
+    one edge each, so peeling them leaves exactly their cycles, and a
+    vertex that reaches one is named by the least cycle vertex it reaches.
+    The rest are line points; the peel puts each before its successor, so
+    one backward pass sums their path lengths, which are refused over
+    MAX_BOUNDARY_PATH_EDGES before any walk is built.
+
+    Each block is keyed by its sink: its size is the orbit size of the
+    class and its representative is the trivial path at the sink."""
     branching = _least_reached(g, (v for v in g.vertices if len(g.out_edges(v)) > 1))
     order, cycles = _peel([v for v in g.vertices if v not in branching], g.successors)
     cyclic = _least_reached(g, cycles)
@@ -249,7 +292,7 @@ def line_points(g: DirectedGraph) -> LinePointReport:
         )
     walks = {v: _unique_walk(g, v) for v in g.vertices if v in lengths}
     counts = _path_counts(g, {w.sink for w in walks.values()})
-    sizes = {w.sink: counts[w.sink] for w in walks.values()}  # by sink, in line-point order
+    sizes = {w.sink: counts[w.sink] for w in walks.values()}  # orbit size by sink
     statuses = {}
     for v in g.vertices:
         if v in walks:
@@ -261,7 +304,8 @@ def line_points(g: DirectedGraph) -> LinePointReport:
         else:
             reason = f"the boundary path is eventually periodic (cycle through {cyclic[v]!r})"
         statuses[v] = VertexStatus(v, False, None, reason, None)
-    return LinePointReport(line_points=tuple(walks), per_vertex=statuses, sink_sizes=sizes)
+    blocks = tuple(SocleBlock(w, sizes[w]) for w in g.vertices if w in sizes)
+    return GraphSocleReport(line_points=tuple(walks), blocks=blocks, per_vertex=statuses)
 
 
 def orbit_size(g: DirectedGraph, v: str):
@@ -306,68 +350,10 @@ def _paths_into(g: DirectedGraph, sink: str):
             queue.append(BoundaryPath(start=src, edge_ids=(eid,) + path.edge_ids, sink=sink))
 
 
-# -- socle report -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SocleBlock:
-    class_representative: str  # the serialised boundary path at the sink
-    size: object  # int or INFINITE
-
-
-@dataclass(frozen=True)
-class GraphSocleReport:
-    line_points: tuple[str, ...]
-    blocks: tuple[SocleBlock, ...]
-    socle_is_zero: bool
-    per_vertex: dict[str, VertexStatus]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "line_points": list(self.line_points),
-            "vertices": {
-                v: (
-                    {
-                        "line_point": True,
-                        "boundary_path": st.boundary_path,
-                        "orbit_size": "infinite" if st.orbit_size is INFINITE else st.orbit_size,
-                    }
-                    if st.is_line_point
-                    else {"line_point": False, "reason": st.failure_reason}
-                )
-                for v, st in self.per_vertex.items()
-            },
-            "blocks": [
-                {
-                    "class_representative": b.class_representative,
-                    "size": "infinite" if b.size is INFINITE else b.size,
-                }
-                for b in self.blocks
-            ],
-            "socle_is_zero": self.socle_is_zero,
-        }
-
-
 def lpa_socle(g: DirectedGraph) -> GraphSocleReport:
-    """One matrix block per equivalence class of line-point boundary paths.
-
-    Classes are keyed by the terminal sink; the block size is the orbit size
-    of the class and the class representative is the trivial path at the
-    sink.  No line points means the socle is zero.
-    """
-    report = line_points(g)
-    blocks = tuple(
-        SocleBlock(class_representative=w, size=report.sink_sizes[w])
-        for w in g.vertices
-        if w in report.sink_sizes
-    )
-    return GraphSocleReport(
-        line_points=report.line_points,
-        blocks=blocks,
-        socle_is_zero=not report.line_points,
-        per_vertex=report.per_vertex,
-    )
+    """The socle of the path algebra: line_points(g), whose blocks are its
+    matrix blocks."""
+    return line_points(g)
 
 
 # -- materialisation ----------------------------------------------------------

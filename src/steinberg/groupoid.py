@@ -231,8 +231,8 @@ def validate(
     if violations:
         raise GroupoidValidationError(violations)
 
-    s, r, inv = dict(source_of), dict(range_of), dict(inverse_of)
-    comp = dict(compose)
+    # Read in place: the validated groupoid's constructor takes the copies.
+    s, r, inv, comp = source_of, range_of, inverse_of, compose
     rows: dict[str, dict[str, str]] = {g: {} for g in elements}  # rows[a][b] = a * b
     for (a, b), c in comp.items():
         rows[a][b] = c
@@ -316,7 +316,7 @@ def validate(
         checked.append(t)
     witnesses = failing((x, t) for t in checked for x in by_source.get(r[t], ()))
     if not (violations or witnesses or budget < 0):
-        return FiniteGroupoid(elements, s, r, inv, comp)
+        return FiniteGroupoid(elements, source_of, range_of, inverse_of, compose)
 
     total = sum(map(through, elements))
     if total <= MAX_ASSOCIATIVITY_TRIPLES:

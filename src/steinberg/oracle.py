@@ -432,20 +432,6 @@ def _element(algebra: SteinbergAlgebra, vec: np.ndarray) -> AlgebraElement:
     return algebra.from_vector([int(c) for c in vec])
 
 
-def _ideal_from_rows(
-    algebra: SteinbergAlgebra,
-    rows: np.ndarray,
-    generators: tuple[AlgebraElement, ...],
-    two_sided: bool,
-) -> LeftIdeal:
-    return LeftIdeal(
-        algebra=algebra,
-        generators=generators,
-        basis=tuple(_element(algebra, row) for row in rows),
-        two_sided=two_sided,
-    )
-
-
 def _minimal_ideals(algebra: SteinbergAlgebra, side: str) -> list[LeftIdeal]:
     """Every minimal left ideal A a (side "left", rows 1_g * a) or right
     ideal a A (side "right", rows a * 1_g), by full enumeration of the
@@ -470,7 +456,7 @@ def _minimal_ideals(algebra: SteinbergAlgebra, side: str) -> list[LeftIdeal]:
             found.append((rows.shape[0], full.tobytes(), full, block.embed(gen, n)))
     found.sort(key=lambda t: t[:2])
     return [
-        _ideal_from_rows(algebra, rows, (_element(algebra, gen),), two_sided=False)
+        LeftIdeal(algebra, (_element(algebra, gen),), tuple(map(tuple, rows.tolist())))
         for _, _, rows, gen in found
     ]
 
@@ -481,17 +467,14 @@ def _socle(algebra: SteinbergAlgebra, minimal: list[LeftIdeal]) -> LeftIdeal:
     p = _require_prime_field(algebra)
     rows = np.zeros((0, algebra.dim), dtype=np.int64)
     if minimal:
-        stacked = np.array(
-            [[int(c) for c in b.to_vector()] for ideal in minimal for b in ideal.basis],
-            dtype=np.int64,
-        )
+        stacked = np.array([row for ideal in minimal for row in ideal.rows], dtype=np.int64)
         ranks, reduced = _batched_rref(stacked[None, :, :], p)
         rows = reduced[0, : ranks[0]]
     for table in _gather_tables(algebra):
         if not _in_span(_products(rows, table, p).reshape(-1, algebra.dim), rows, p):
             raise RuntimeError("socle failed the two-sided closure check")
     generators = tuple(i.generators[0] for i in minimal)
-    return _ideal_from_rows(algebra, rows, generators, two_sided=True)
+    return LeftIdeal(algebra, generators, tuple(map(tuple, rows.tolist())), two_sided=True)
 
 
 def oracle_minimal_ideals(algebra: SteinbergAlgebra) -> list[LeftIdeal]:

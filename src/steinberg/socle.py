@@ -53,34 +53,42 @@ ABSOLUTE_ZERO_DIVISOR = "absolute_zero_divisor"
 class LeftIdeal:
     """A subspace of the algebra closed under left multiplication.
 
-    The basis is the canonical reduced echelon basis of the subspace, so two
-    ideals are equal as subspaces iff their canonical matrices coincide.
+    `rows` is the canonical reduced echelon basis of the subspace, as
+    coefficient tuples in element order, so two ideals are equal as
+    subspaces iff their rows coincide.  `basis` is derived from it: the
+    same rows as algebra elements.
     """
 
     algebra: SteinbergAlgebra
     generators: tuple[AlgebraElement, ...]
-    basis: tuple[AlgebraElement, ...]
+    rows: tuple[tuple, ...]
     two_sided: bool = False
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[AlgebraElement, ...]:
+        return tuple(map(self.algebra.from_vector, self.rows))
 
     def basis_vectors(self) -> list[list]:
-        return [b.to_vector() for b in self.basis]
+        return [list(row) for row in self.rows]
 
     def canonical_matrix(self) -> tuple[tuple, ...]:
-        return tuple(tuple(v) for v in self.basis_vectors())
+        return self.rows
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         """Each canonical row's pivot: the index of its first nonzero entry."""
-        index = self.algebra.groupoid.index
-        return tuple(min(map(index.__getitem__, b.coeffs)) for b in self.basis)
+        is_zero = self.algebra.field.is_zero
+        return tuple(
+            next(i for i, c in enumerate(row) if not is_zero(c)) for row in self.rows
+        )
 
     @cached_property
     def _membership(self) -> EchelonBasis:
-        # The canonical basis is already reduced echelon: seed it as is.
+        # The canonical rows are already reduced echelon: seed them as they are.
         basis = EchelonBasis(self.algebra.field, self.algebra.dim)
         basis.rows = self.basis_vectors()
         basis.pivots = list(self.pivots)
@@ -122,7 +130,7 @@ def _generated_ideal(
     return LeftIdeal(
         algebra=algebra,
         generators=tuple(generators),
-        basis=tuple(algebra.from_vector(row) for row in basis.rows),
+        rows=basis.canonical(),
         two_sided=two_sided,
     )
 
@@ -279,18 +287,17 @@ def is_minimal_left_ideal(
             witness=None if witness is None else algebra.from_vector(witness),
         )
 
-    rows = ideal.basis_vectors()
     units = [gpd.r(gpd.elements[p]) for p in ideal.pivots]
     orbits = gpd.orbit_classes()
     block_of = {y: i for i, orbit in enumerate(orbits) for y in orbit.members}
     blocks = [block_of[y] for y in units]
     first = min(blocks)
     if any(b != first for b in blocks):
-        return answer(False, "orbit blocks", rows[blocks.index(first)])
+        return answer(False, "orbit blocks", ideal.rows[blocks.index(first)])
 
     orbit = orbits[first]
     x = orbit.representative if certificate is None else certificate.unit
-    corner = [row for row, y in zip(rows, units) if y == x]
+    corner = [row for row, y in zip(ideal.rows, units) if y == x]
     d = len(corner)
     if d * len(orbit) != dim:
         raise RuntimeError(
@@ -472,7 +479,7 @@ def socle(algebra: SteinbergAlgebra) -> SocleReport:
     report = check_condition_LP(algebra.groupoid)
     if not report.holds:
         raise LPViolationError(report)
-    gpd = algebra.groupoid
+    gpd, one = algebra.groupoid, algebra.field.one
     components = []
     for orbit in gpd.orbit_classes():
         _certify_matrix_units(gpd, orbit)
@@ -485,7 +492,8 @@ def socle(algebra: SteinbergAlgebra) -> SocleReport:
         lp_holds=True,
         generating_units=tuple(c.orbit.representative for c in components),
         components=tuple(components),
-        socle_basis=tuple(algebra.basis_element(g) for g in gpd.elements),
+        # The elements come from the groupoid itself: no membership check.
+        socle_basis=tuple(AlgebraElement(algebra, {g: one}) for g in gpd.elements),
         socle_dimension=algebra.dim,
     )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import product
 
 from steinberg.fields import PrimeField
-from steinberg.graphs import INFINITE, DirectedGraph, LinePointReport, VertexStatus
+from steinberg.graphs import INFINITE, DirectedGraph, GraphSocleReport, SocleBlock, VertexStatus
 from steinberg.groupoid import FiniteGroupoid, GroupoidValidationError, IsotropyGroup, OrbitClass
 from steinberg.limits import ENUM_CAP, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
 from steinberg.linalg import EchelonBasis
@@ -187,7 +187,7 @@ def count_paths_into(g: DirectedGraph, sink: str):
     return count(sink)
 
 
-def line_point_statuses(g: DirectedGraph) -> LinePointReport:
+def line_point_statuses(g: DirectedGraph) -> GraphSocleReport:
     """Each vertex's status from its own reachable set: the least branching
     vertex it reaches, else the least cycle vertex, else its walk to a sink."""
     cycles = vertices_on_cycles(g)
@@ -210,7 +210,8 @@ def line_point_statuses(g: DirectedGraph) -> LinePointReport:
             statuses[v] = VertexStatus(v, True, ".".join(edge_ids) or w, None, sizes[w])
             continue
         statuses[v] = VertexStatus(v, False, None, reason, None)
-    return LinePointReport(line_points=tuple(points), per_vertex=statuses, sink_sizes=sizes)
+    blocks = tuple(SocleBlock(w, sizes[w]) for w in g.vertices if w in sizes)
+    return GraphSocleReport(line_points=tuple(points), blocks=blocks, per_vertex=statuses)
 
 
 def associativity_fails(compose, a: str, b: str, c: str) -> bool:

@@ -361,7 +361,6 @@ def test_cross_check_mismatch_exits_70(run, files, monkeypatch):
         return GraphSocleReport(
             line_points=report.line_points,
             blocks=blocks,
-            socle_is_zero=report.socle_is_zero,
             per_vertex=report.per_vertex,
         )
 

@@ -178,7 +178,7 @@ def test_line_points_match_per_vertex_reachability(g):
     assert report.line_points == expected.line_points
     assert report.per_vertex == expected.per_vertex
     assert list(report.per_vertex) == list(g.vertices)
-    assert report.sink_sizes == expected.sink_sizes
+    assert report.blocks == expected.blocks
     for v, status in expected.per_vertex.items():
         if status.is_line_point:
             assert orbit_size(g, v) == status.orbit_size

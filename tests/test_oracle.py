@@ -171,7 +171,7 @@ def test_socles_are_closure_checked(socle_of):
     # the span of one arrow is neither a left nor a right ideal
     algebra = SteinbergAlgebra(pair_groupoid(["a", "b"]), PrimeField(2))
     arrow = algebra.basis_element("b<a")
-    fake = LeftIdeal(algebra=algebra, generators=(arrow,), basis=(arrow,))
+    fake = LeftIdeal(algebra=algebra, generators=(arrow,), rows=(tuple(arrow.to_vector()),))
     with pytest.raises(RuntimeError):
         socle_of(algebra, minimal=[fake])
 

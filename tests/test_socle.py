@@ -13,6 +13,7 @@ from steinberg.builders import (
     pair_groupoid,
     quaternion_group,
     random_groupoid,
+    symmetric_group_3,
     transitive_groupoid,
     trivial_groupoid,
 )
@@ -45,8 +46,10 @@ from references import (
     intersection_is_zero,
     rref,
 )
+from test_groupoid import renamed
 
 Q = Rationals()
+FIELDS = (Q, PrimeField(2), PrimeField(3))
 
 
 def test_left_ideal_of_unit_indicator_has_arrow_count_dimension():
@@ -200,6 +203,45 @@ def test_certificate_checks_the_isotropy_table():
             minimal_ideal_generator(SteinbergAlgebra(corrupted, field), "e")
 
 
+def _assert_certificate_ideal_is_the_transporter_indicators(g, field):
+    # A t is spanned by the 1_g * t over the arrows g from x, and 1_g * t is
+    # the indicator of the coset g xGx, the transporter set r(g)Gx.  These
+    # sets are disjoint, so their indicators are the reduced echelon rows.
+    algebra = SteinbergAlgebra(g, field)
+    for x in g.units():
+        t = minimal_ideal_generator(algebra, x).generator
+        sets = sorted(
+            (g.transporter(y, x) for y in g.orbit_of(x).members),
+            key=lambda arrows: g.index[arrows[0]],
+        )
+        expected = tuple(
+            tuple(field.one if e in arrows else field.zero for e in g.elements)
+            for arrows in sets
+        )
+        assert left_ideal(algebra, [t]).rows == expected, (x, field)
+
+
+def test_certificate_ideal_is_the_transporter_indicators():
+    for g in all_groupoids_up_to(6) + [transitive_groupoid(["p", "q", "r"], symmetric_group_3())]:
+        for field in FIELDS:
+            _assert_certificate_ideal_is_the_transporter_indicators(g, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 30),
+    max_isotropy=st.integers(1, 4),
+    field=st.sampled_from(FIELDS),
+)
+def test_certificate_ideal_is_the_transporter_indicators_on_random_groupoids(
+    seed, size, max_isotropy, field
+):
+    rng = random.Random(seed)
+    g = renamed(random_groupoid(rng, size, max_isotropy=max_isotropy), rng)
+    _assert_certificate_ideal_is_the_transporter_indicators(g, field)
+
+
 def _rows_lie_at_their_pivot_unit(ideal):
     gpd = ideal.algebra.groupoid
     for b in ideal.basis:
@@ -334,7 +376,7 @@ def test_minimality_checks_the_corner_dimension():
     # a subspace that is not a left ideal: dim 1_a I = 1 but the orbit has 2 units
     algebra = SteinbergAlgebra(pair_groupoid(["a", "b"]), PrimeField(2))
     a = algebra.basis_element("a")
-    not_an_ideal = LeftIdeal(algebra, generators=(a,), basis=(a,))
+    not_an_ideal = LeftIdeal(algebra, generators=(a,), rows=(tuple(a.to_vector()),))
     with pytest.raises(RuntimeError, match="orbit size 2"):
         is_minimal_left_ideal(not_an_ideal)
 
