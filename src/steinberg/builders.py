@@ -182,25 +182,28 @@ def transitive_groupoid(points: list[str], group: GroupTable) -> FiniteGroupoid:
             return f"{x}|{m}"
         return f"{y}<{x}|{m}"
 
-    triples = [(y, m, x) for y in points for x in points for m in group.elements]
     # Units first, in point order, then the rest in (y, x, m) order.
-    triples.sort(
-        key=lambda t: (
-            0 if (t[0] == t[2] and t[1] == e) else 1,
-            points.index(t[0]),
-            points.index(t[2]),
-            group.elements.index(t[1]),
-        )
-    )
+    triples = [(x, e, x) for x in points]
+    triples += [
+        (y, m, x)
+        for y in points
+        for x in points
+        for m in group.elements
+        if y != x or m != e
+    ]
     ids = {t: name(*t) for t in triples}
+    inverse_in_group = {m: group.inverse(m) for m in group.elements}
     source = {ids[(y, m, x)]: x for (y, m, x) in triples}
     range_ = {ids[(y, m, x)]: y for (y, m, x) in triples}
-    inverse = {ids[(y, m, x)]: ids[(x, group.inverse(m), y)] for (y, m, x) in triples}
+    inverse = {ids[(y, m, x)]: ids[(x, inverse_in_group[m], y)] for (y, m, x) in triples}
+    into: dict[str, list[tuple[str, str, str]]] = {}  # range -> arrows, in order
+    for t in triples:
+        into.setdefault(t[0], []).append(t)
     compose = {}
     for (z, m, y) in triples:
-        for (y2, m2, x) in triples:
-            if y == y2:
-                compose[(ids[(z, m, y)], ids[(y2, m2, x)])] = ids[(z, group.mult[(m, m2)], x)]
+        a = ids[(z, m, y)]
+        for (_, m2, x) in into[y]:
+            compose[(a, ids[(y, m2, x)])] = ids[(z, group.mult[(m, m2)], x)]
     return validate([ids[t] for t in triples], source, range_, inverse, compose)
 
 

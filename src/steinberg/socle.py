@@ -18,6 +18,16 @@ A one-dimensional 1_x I, or trivial isotropy, decides the question by rank
 alone over any field; only nontrivial isotropy without a certificate
 enumerates, over GF(p), the p^(dim I / k) vectors of 1_x I.
 
+The certificate ideal A t is built in closed form: its canonical rows are
+the indicators of the transporter sets yGx, one per unit y of x's orbit.
+Ideals of arbitrary generators are eliminated one unit at a time.  1_g f
+lies on the columns G^{r(g)} of the arrows with range r(g), and f 1_h on
+the columns G_{s(h)} of those with source s(h), so A f is reduced per range
+unit in width |G^y|, and A f A = A (f A) by reducing f A per source unit,
+then A (f A) per range unit.  Each unit's elimination stops once it fills
+its columns, and the per-unit bases, sorted by pivot, are the canonical
+rows.
+
 Socle assembly only sees the semisimple part.  A unit x contributes 1_x to
 the socle exactly when its isotropy is trivial.  The engine refuses to
 assemble a socle unless every unit has trivial isotropy (condition (LP)
@@ -37,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .algebra import AlgebraElement, SteinbergAlgebra, element_to_obj
 from .fields import PrimeField
@@ -102,15 +112,50 @@ class LeftIdeal:
         return f"{kind}(dim {self.dimension} of {self.algebra.dim})"
 
 
-def _translates(
-    field, n: int, action: Callable[[int, list], list], rows: Iterable[list]
-) -> EchelonBasis:
-    """The span of action(g, row) over every basis index g and every row."""
-    basis = EchelonBasis(field, n)
-    for row in rows:
-        for g in range(n):
-            basis.insert(action(g, row))
+def _filled(field, width: int, images: Iterable[list], target: int) -> EchelonBasis:
+    """The span of the images, inserted until it reaches dimension target.
+    Callers pass images that lie in a space of that dimension, so the
+    remaining images could add nothing."""
+    basis = EchelonBasis(field, width)
+    for image in images:
+        if basis.insert(image) and basis.dim == target:
+            break
     return basis
+
+
+def _unit_spans(algebra: SteinbergAlgebra, rows: list[list], side: str) -> list[tuple]:
+    """The canonical rows of the span of the translates 1_g * row (side
+    "left") or row * 1_g (side "right") over every basis index g.
+
+    1_g * f lies on the columns G^{r(g)}, the arrows with range r(g), and
+    f * 1_g on the columns G_{s(g)}, those with source s(g).  So the span is
+    the direct sum, over the units u, of the spans of the translates by the
+    arrows at u, each reduced in the width of the columns at u and stopped
+    once it fills them.  The column sets are disjoint, so the union of the
+    per-unit reduced echelon bases, sorted by pivot, is the canonical basis
+    of the whole span.
+    """
+    field, gpd = algebra.field, algebra.groupoid
+    if side == "left":
+        end, table = gpd.range_of, algebra.left_action_table
+    else:
+        end, table = gpd.source_of, algebra.right_action_table
+    columns: dict[str, list[int]] = {}
+    for k, g in enumerate(gpd.elements):
+        columns.setdefault(end[g], []).append(k)
+    padded = [[*row, field.zero] for row in rows]  # index n reads a zero
+    found: list[tuple[int, tuple]] = []
+    for cols in columns.values():
+        gathers = ([table[g][k] for k in cols] for g in cols)
+        images = ([row[j] for j in at] for at in gathers for row in padded)
+        basis = _filled(field, len(cols), images, len(cols))
+        for pivot, local in zip(basis.pivots, basis.rows):
+            full = [field.zero] * algebra.dim
+            for k, c in zip(cols, local):
+                full[k] = c
+            found.append((cols[pivot], tuple(full)))
+    found.sort(key=lambda entry: entry[0])
+    return [row for _, row in found]
 
 
 def _generated_ideal(
@@ -122,15 +167,13 @@ def _generated_ideal(
         raise ValueError("empty generator list")
     if all(f.is_zero() for f in generators):
         raise ValueError("all generators are zero")
-    field, n = algebra.field, algebra.dim
     rows = [f.to_vector() for f in generators]
     if two_sided:
-        rows = _translates(field, n, algebra.right_action, rows).rows
-    basis = _translates(field, n, algebra.left_action, rows)
+        rows = _unit_spans(algebra, rows, "right")
     return LeftIdeal(
         algebra=algebra,
         generators=tuple(generators),
-        rows=basis.canonical(),
+        rows=tuple(_unit_spans(algebra, rows, "left")),
         two_sided=two_sided,
     )
 
@@ -203,6 +246,31 @@ def minimal_ideal_generator(algebra: SteinbergAlgebra, x: str) -> MinimalIdealCe
     )
 
 
+def certificate_ideal(certificate: MinimalIdealCertificate) -> LeftIdeal:
+    """The minimal left ideal A t of a certificate generator t at x, in
+    closed form.
+
+    A t is spanned by the 1_g * t over the arrows g with source x, and 1_g * t
+    is a multiple of the indicator of the coset g xGx, the transporter set
+    r(g)Gx.  These sets are disjoint, one for each unit y of x's orbit, so
+    their indicators, sorted by first element, are the canonical rows.
+    """
+    algebra = certificate.generator.algebra
+    gpd, field = algebra.groupoid, algebra.field
+    x = certificate.unit
+    sets = sorted(
+        (gpd.transporter(y, x) for y in gpd.orbit_of(x).members),
+        key=lambda arrows: gpd.index[arrows[0]],
+    )
+    rows = []
+    for arrows in sets:
+        row = [field.zero] * algebra.dim
+        for g in arrows:
+            row[gpd.index[g]] = field.one
+        rows.append(tuple(row))
+    return LeftIdeal(algebra=algebra, generators=(certificate.generator,), rows=tuple(rows))
+
+
 # -- minimality tests -----------------------------------------------------------
 
 
@@ -212,17 +280,6 @@ class MinimalityReport:
     method: str
     dimension: int
     witness: AlgebraElement | None = None
-
-
-def _spans(field, width: int, images: Iterable[list], target: int) -> bool:
-    """Whether the images span a space of dimension target.  Callers pass
-    images that lie in a space of that dimension, so insertion stops as soon
-    as the span gets there."""
-    basis = EchelonBasis(field, width)
-    for image in images:
-        if basis.insert(image) and basis.dim == target:
-            break
-    return basis.dim == target
 
 
 def _nonzero_combos(field: PrimeField, rows: list[list]) -> Iterator[list]:
@@ -320,7 +377,7 @@ def is_minimal_left_ideal(
 
     def generates(vec: list) -> bool:
         images = (algebra.left_action(h, vec) for h in isotropy)
-        return _spans(field, n, images, d)
+        return _filled(field, n, images, d).dim == d
 
     witness = next((v for v in _nonzero_combos(field, corner) if not generates(v)), None)
     return answer(witness is None, f"corner exhaustive over GF({field.p})", witness)

@@ -6,9 +6,11 @@ full-order absolute zero divisor search that the oracle's per-block
 scalar-line walks replaced, and the per-vertex reachability
 that steinberg.graphs' flood and peel replaced, the groupoid
 validation that checked associativity on every composable triple before
-steinberg.groupoid checked it by Light's test, and the isotropy and
+steinberg.groupoid checked it by Light's test, the isotropy and
 transporter scans and the union-find orbits that FiniteGroupoid's
-(range, source) index replaced.
+(range, source) index replaced, the dense elimination over all |G|
+columns that the per-unit ideal spans replaced, and the transitive
+groupoid built by a sort and a scan of every pair of arrows.
 
 Nothing here is part of the library; tests compare the engine against these
 slow, assumption-free versions.
@@ -18,9 +20,16 @@ from __future__ import annotations
 
 from itertools import product
 
+from steinberg.builders import GroupTable
 from steinberg.fields import PrimeField
 from steinberg.graphs import INFINITE, DirectedGraph, GraphSocleReport, SocleBlock, VertexStatus
-from steinberg.groupoid import FiniteGroupoid, GroupoidValidationError, IsotropyGroup, OrbitClass
+from steinberg.groupoid import (
+    FiniteGroupoid,
+    GroupoidValidationError,
+    IsotropyGroup,
+    OrbitClass,
+    validate,
+)
 from steinberg.limits import ENUM_CAP, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
 from steinberg.linalg import EchelonBasis
 from steinberg.socle import LeftIdeal, MinimalityReport
@@ -157,6 +166,26 @@ def generated_dimension(f) -> int:
     algebra = f.algebra
     products = [(algebra.basis_element(g) * f).to_vector() for g in algebra.groupoid.elements]
     return span_dim(algebra.field, products, algebra.dim)
+
+
+def _translates(field, n: int, action, rows) -> EchelonBasis:
+    """The span of action(g, row) over every basis index g and every row."""
+    basis = EchelonBasis(field, n)
+    for row in rows:
+        for g in range(n):
+            basis.insert(action(g, row))
+    return basis
+
+
+def dense_ideal_rows(algebra, generators, two_sided: bool) -> tuple[tuple, ...]:
+    """The canonical rows of A f, or of A f A, with every translate inserted
+    into one basis over all |G| columns: the left translates 1_g * f, taken
+    of the right translates f * 1_h for a two-sided ideal."""
+    field, n = algebra.field, algebra.dim
+    rows = [f.to_vector() for f in generators]
+    if two_sided:
+        rows = _translates(field, n, algebra.right_action, rows).rows
+    return _translates(field, n, algebra.left_action, rows).canonical()
 
 
 def reachable_from(g: DirectedGraph, v: str) -> set[str]:
@@ -357,3 +386,39 @@ def union_find_orbit_classes(g: FiniteGroupoid) -> tuple[OrbitClass, ...]:
     ]
     classes.sort(key=lambda c: g.index[c.representative])
     return tuple(classes)
+
+
+def sorted_transitive_groupoid(points: list[str], group: GroupTable) -> FiniteGroupoid:
+    """steinberg.builders.transitive_groupoid as it was built before: the
+    arrows sorted by point and group positions found with list.index, and
+    every pair of arrows scanned for composability."""
+    e = group.identity
+
+    def name(y: str, m: str, x: str) -> str:
+        if y == x and m == e:
+            return y
+        if group.order == 1:
+            return f"{y}<{x}"
+        if y == x:
+            return f"{x}|{m}"
+        return f"{y}<{x}|{m}"
+
+    triples = [(y, m, x) for y in points for x in points for m in group.elements]
+    triples.sort(
+        key=lambda t: (
+            0 if (t[0] == t[2] and t[1] == e) else 1,
+            points.index(t[0]),
+            points.index(t[2]),
+            group.elements.index(t[1]),
+        )
+    )
+    ids = {t: name(*t) for t in triples}
+    source = {ids[(y, m, x)]: x for (y, m, x) in triples}
+    range_ = {ids[(y, m, x)]: y for (y, m, x) in triples}
+    inverse = {ids[(y, m, x)]: ids[(x, group.inverse(m), y)] for (y, m, x) in triples}
+    compose = {}
+    for (z, m, y) in triples:
+        for (y2, m2, x) in triples:
+            if y == y2:
+                compose[(ids[(z, m, y)], ids[(y2, m2, x)])] = ids[(z, group.mult[(m, m2)], x)]
+    return validate([ids[t] for t in triples], source, range_, inverse, compose)

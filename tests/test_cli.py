@@ -16,15 +16,19 @@ from references import associativity_fails
 
 import steinberg
 from steinberg import cli, oracle
+from steinberg.algebra import SteinbergAlgebra, element_to_obj
 from steinberg.builders import (
+    all_groupoids_up_to,
     cyclic_group,
     disjoint_union,
     one_object_groupoid,
     pair_groupoid,
     trivial_groupoid,
 )
+from steinberg.fields import field_from_designator
 from steinberg.graphs import GraphSocleReport, SocleBlock, lpa_socle
 from steinberg.groupoid import to_json_obj
+from steinberg.socle import left_ideal, minimal_ideal_generator
 
 
 @pytest.fixture
@@ -232,6 +236,27 @@ def test_minimal_certificate(run, files):
     assert doc["ideal_dimension"] == 1
     code, out, _ = run("minimal", files["z2"], "--unit", "e", "--field", "f3")
     assert json.loads(out)["flavour"] == "division_idempotent"
+
+
+def test_minimal_output_matches_the_spanned_certificate_ideal(run, tmp_path):
+    # minimal prints the closed-form certificate ideal; it must be the same
+    # document, byte for byte, as one built from the span of the translates.
+    path = tmp_path / "g.json"
+    for g in all_groupoids_up_to(6):
+        path.write_text(json.dumps(to_json_obj(g)))
+        for x in g.units():
+            for designator in ("q", "f2", "f3"):
+                field = field_from_designator(designator)
+                algebra = SteinbergAlgebra(g, field)
+                certificate = minimal_ideal_generator(algebra, x)
+                ideal = left_ideal(algebra, [certificate.generator])
+                doc = certificate.to_json_obj()
+                doc["field"] = designator
+                doc["ideal_dimension"] = ideal.dimension
+                doc["ideal_basis"] = [element_to_obj(b) for b in ideal.basis]
+                code, out, _ = run("minimal", str(path), "--unit", x, "--field", designator)
+                assert code == 0
+                assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n", (g, x, designator)
 
 
 def test_minimal_rejects_non_unit(run, files):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinberg import groupoid
+from steinberg import builders, groupoid
 from steinberg.builders import (
     all_groupoids_up_to,
     cyclic_group,
@@ -13,6 +13,7 @@ from steinberg.builders import (
     disjoint_union,
     one_object_groupoid,
     pair_groupoid,
+    quaternion_group,
     random_groupoid,
     symmetric_group_3,
     transitive_groupoid,
@@ -30,6 +31,7 @@ from references import (
     scanned_isotropy,
     scanned_transporter,
     scanned_units,
+    sorted_transitive_groupoid,
     union_find_orbit_classes,
     validate_by_sweep,
 )
@@ -67,6 +69,18 @@ def test_one_object_groupoid_is_the_group():
     iso = g.isotropy("e")
     assert iso.order == 4
     assert not iso.is_trivial
+
+
+def test_transitive_groupoid_matches_the_sorted_scan(monkeypatch):
+    # Same element names, order and table as the construction that sorted
+    # every arrow and scanned every pair of arrows for composability.
+    built = [to_json_obj(g) for g in all_groupoids_up_to(6)]
+    monkeypatch.setattr(builders, "transitive_groupoid", sorted_transitive_groupoid)
+    assert built == [to_json_obj(g) for g in all_groupoids_up_to(6)]
+    for points, group in (([f"p{i}" for i in range(22)], cyclic_group(1)),
+                          (["a", "b", "c"], quaternion_group())):
+        g = transitive_groupoid(points, group)
+        assert to_json_obj(g) == to_json_obj(sorted_transitive_groupoid(points, group))
 
 
 def test_composability_matches_source_range():

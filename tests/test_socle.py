@@ -29,6 +29,7 @@ from steinberg.socle import (
     LPViolationError,
     SocleComponent,
     SocleReport,
+    certificate_ideal,
     check_condition_LP,
     corner_minimality_transfer,
     homogeneous_component,
@@ -40,6 +41,7 @@ from steinberg.socle import (
 )
 
 from references import (
+    dense_ideal_rows,
     exhaustive_corner_transfer,
     exhaustive_minimality,
     generated_dimension,
@@ -138,6 +140,76 @@ def test_generated_ideals_are_spans_of_products(seed, size, principal, designato
     assert both.canonical_matrix() == rref(field, products, n).canonical()
 
 
+def _reference_generators(rng, algebra):
+    """Each unit indicator, the certificate generator at each unit, the
+    indicator of one random arrow, and one element with a random nonzero
+    coefficient on every arrow."""
+    gpd, field = algebra.groupoid, algebra.field
+    units = gpd.units()
+    dense = algebra.element(
+        {h: field.from_integer(rng.randrange(1, field.p if field.characteristic else 7))
+         for h in gpd.elements}
+    )
+    return (
+        [algebra.basis_element(x) for x in units]
+        + [minimal_ideal_generator(algebra, x).generator for x in units]
+        + [algebra.basis_element(rng.choice(gpd.elements)), dense]
+    )
+
+
+def _assert_ideals_match_the_dense_reference(g, field, rng):
+    algebra = SteinbergAlgebra(g, field)
+    for f in _reference_generators(rng, algebra):
+        assert left_ideal(algebra, [f]).rows == dense_ideal_rows(algebra, [f], False), f
+        assert two_sided_ideal(algebra, [f]).rows == dense_ideal_rows(algebra, [f], True), f
+
+
+def test_ideals_match_the_dense_reference_on_small_groupoids():
+    rng = random.Random(24)
+    for g in all_groupoids_up_to(6):
+        for field in FIELDS:
+            _assert_ideals_match_the_dense_reference(g, field, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 40),
+    max_isotropy=st.integers(1, 4),
+    field=st.sampled_from(FIELDS),
+)
+def test_ideals_match_the_dense_reference_on_random_groupoids(seed, size, max_isotropy, field):
+    rng = random.Random(seed)
+    g = renamed(random_groupoid(rng, size, max_isotropy=max_isotropy), rng)
+    _assert_ideals_match_the_dense_reference(g, field, rng)
+
+
+def _dense_element(algebra, seed):
+    # Random coefficients in 1..6 on every arrow.
+    rng = random.Random(seed)
+    return algebra.element({h: rng.randint(1, 6) for h in algebra.groupoid.elements})
+
+
+def test_dense_left_ideal_on_pair22_answers_promptly(time_limit):
+    # One unit at a time, in width 22, each stopping once full; the dense
+    # elimination over all 484 columns took ~24 s.
+    algebra = SteinbergAlgebra(pair_groupoid([f"p{i}" for i in range(22)]), Q)
+    f = _dense_element(algebra, 0)
+    with time_limit(10):
+        ideal = left_ideal(algebra, [f])
+    assert ideal.dimension == 484
+
+
+def test_dense_two_sided_ideal_on_eight_points_by_z8_answers_promptly(time_limit):
+    # The dense elimination over all 512 columns took ~44 s.
+    g = transitive_groupoid([f"u{i}" for i in range(8)], cyclic_group(8))
+    algebra = SteinbergAlgebra(g, PrimeField(2))
+    f = _dense_element(algebra, 0)
+    with time_limit(6):
+        ideal = two_sided_ideal(algebra, [f])
+    assert ideal.dimension == 512
+
+
 def test_two_sided_ideal_of_a_large_isotropy_sum_answers_promptly(time_limit):
     # n = 392: closing under both sides row by row takes ~25 s over q, while
     # two passes of translates (right, then left) take ~1.5 s.
@@ -219,6 +291,8 @@ def _assert_certificate_ideal_is_the_transporter_indicators(g, field):
             for arrows in sets
         )
         assert left_ideal(algebra, [t]).rows == expected, (x, field)
+        ideal = certificate_ideal(minimal_ideal_generator(algebra, x))
+        assert (ideal.rows, ideal.generators, ideal.two_sided) == (expected, (t,), False)
 
 
 def test_certificate_ideal_is_the_transporter_indicators():
