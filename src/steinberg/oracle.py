@@ -11,18 +11,25 @@ is decided by the same walk (see _lines for why it suffices), searching
 for an absolute zero divisor: a nonzero a with a * 1_g * a = 0 for all g.
 
 Everything runs on numpy arrays, processed in enumeration order in bounded
-chunks; chunking does not affect any result.  The algebra's left action
+chunks that run on across the borders between leading coordinates (see
+_lines); chunking does not affect any result.  The algebra's left action
 table is built as a gather table: entry [g, k] names the coordinate of a
 that lands on coordinate k of 1_g * a, or n for an appended zero column.
-For p >= 3 the products 1_g * a of a chunk come from one gather through
-it, and row reduction delays reduction mod p: entries live in the
-narrowest unsigned type that holds every sum a reduction accumulates
-between its reductions mod p, and only pivot columns and pivot rows are
-reduced along the way.  Reduced echelon forms are canonical: a chunk's
-ideals are deduplicated by their bytes, and membership in an echelon span
-is one matrix product, because a member's entries at the pivot columns are
-its coefficients.  The engine (socle module) deliberately shares no linear
-algebra with this module.
+For p >= 3 the products 1_g * a of a chunk come from one gather through it,
+straight into the layout row reduction works in: entry (g, k) of the
+matrix of a_i sits at [g, k, i], so every elimination step runs one long
+vector loop across the chunk.  Row reduction delays reduction mod p:
+entries live in the narrowest unsigned type that holds every sum a
+reduction accumulates between its reductions mod p, and only pivot columns
+and pivot rows are reduced along the way.  Each pivot row moves into a slot
+indexed by its pivot column, so a reduced echelon form comes out indexed by
+pivot column with no final sort.  That form is canonical: a chunk's ideals
+are deduplicated by its bytes, and membership in an echelon span is one
+matrix product, because a member's entries at the pivot columns are its
+coefficients.  An ideal is minimal when none of the minimal ideals of
+smaller dimension lies in it, and one product tests all the ideals of a
+dimension at once.  The engine (socle module) deliberately shares no
+linear algebra with this module.
 
 Over GF(2) both walks keep every product row as one packed uint32 word,
 coordinate k at bit 31 - k; the widest block the cap admits has 20
@@ -52,11 +59,19 @@ block coordinates into the full ones keeps their order, so an embedded
 reduced echelon matrix is still reduced echelon and canonical, and the
 first generator of each ideal and the sort by dimension and canonical bytes
 are unchanged.  For the absolute zero divisor, see oracle_is_semiprime.
+
+The full gather tables, the blocks with their restricted tables and, over
+GF(2), their word tables are built once per algebra (see _tables) and
+shared by the minimal ideals, the socle's closure check and the semiprime
+walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import groupby
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -85,7 +100,7 @@ def _gather_tables(algebra: SteinbergAlgebra) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Block:
     """One connected block of the composition table.
 
@@ -96,10 +111,20 @@ class _Block:
     index: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    # The _word_tables of each side, built on first use.
+    words: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
         return int(self.index.size)
+
+    def gather(self, side: str) -> np.ndarray:
+        return self.left if side == "left" else self.right
+
+    def word_tables(self, side: str) -> np.ndarray:
+        if side not in self.words:
+            self.words[side] = _word_tables(self.gather(side))
+        return self.words[side]
 
     def embed(self, vectors: np.ndarray, n: int) -> np.ndarray:
         """Block-coordinate vectors (last axis) in the n full coordinates."""
@@ -108,17 +133,16 @@ class _Block:
         return full
 
 
-def _blocks(algebra: SteinbergAlgebra) -> list[_Block]:
-    """The connected blocks, by union-find over the entries below n of the
-    left gather table, ordered by their least coordinate.
+def _blocks(left: np.ndarray, right: np.ndarray) -> tuple[_Block, ...]:
+    """The connected blocks of the full gather tables, by union-find over the
+    entries below n of the left one, ordered by their least coordinate.
 
     An entry [g, k] = j < n puts g, j and k in one block, so 1_a * 1_b is
     zero whenever a and b lie in different blocks, and a gather table entry
     [g, k] inside a block names a coordinate of that block or the zero
     column.
     """
-    n = algebra.dim
-    left, right = _gather_tables(algebra)
+    n = left.shape[0]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -141,14 +165,37 @@ def _blocks(algebra: SteinbergAlgebra) -> list[_Block]:
         local[n] = index.size
         sub = np.ix_(index, index)
         blocks.append(_Block(index=index, left=local[left[sub]], right=local[right[sub]]))
-    return blocks
+    return tuple(blocks)
 
 
-def _lines(q: int, n: int, lead: int):
+@dataclass(frozen=True)
+class _Tables:
+    """An algebra's full _gather_tables (left, right) and its _blocks."""
+
+    gather: tuple[np.ndarray, np.ndarray]
+    blocks: tuple[_Block, ...]
+
+
+# Keyed weakly, and no entry refers to its algebra, so the cache keeps no
+# algebra alive.
+_TABLES: WeakKeyDictionary[SteinbergAlgebra, _Tables] = WeakKeyDictionary()
+
+
+def _tables(algebra: SteinbergAlgebra) -> _Tables:
+    """The algebra's gather tables and blocks, built on the first call."""
+    tables = _TABLES.get(algebra)
+    if tables is None:
+        gather = _gather_tables(algebra)
+        tables = _TABLES[algebra] = _Tables(gather, _blocks(*gather))
+    return tables
+
+
+def _lines(q: int, n: int, leads):
     """One coefficient vector per scalar line of GF(q)^n whose leading
-    nonzero coordinate is lead, as the increasing integers whose base-q
-    digits they are (first coordinate, in canonical basis order, most
-    significant; see _digits), in chunks of at most _chunk_rows_for(n).
+    nonzero coordinate is one of leads, lead by lead in the given order, as
+    the increasing integers whose base-q digits they are (first coordinate,
+    in canonical basis order, most significant; see _digits), in chunks of
+    at most _chunk_rows_for(q, n) that run on from one lead into the next.
 
     The representative of a line is its vector with leading nonzero digit
     1, so the representatives led by coordinate lead are the integers in
@@ -160,24 +207,42 @@ def _lines(q: int, n: int, lead: int):
     recorded per ideal, and the first absolute zero divisor, are those of
     the full enumeration.
     """
-    chunk_rows = _chunk_rows_for(n)
-    m = n - 1 - lead
-    start, stop = q**m, 2 * q**m
-    while start < stop:
-        upper = min(start + chunk_rows, stop)
-        yield np.arange(start, upper, dtype=np.int64)
-        start = upper
+    chunk_rows = _chunk_rows_for(q, n)
+    parts, size = [], 0
+    for lead in leads:
+        m = n - 1 - lead
+        start, stop = q**m, 2 * q**m
+        while start < stop:
+            upper = min(start + chunk_rows - size, stop)
+            parts.append(np.arange(start, upper, dtype=np.int64))
+            size += upper - start
+            start = upper
+            if size == chunk_rows:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
 
 
 def _digits(indices: np.ndarray, q: int, n: int) -> np.ndarray:
     """The coefficient vectors whose base-q digits the indices are (see
-    _lines), in int64."""
+    _lines), in int64, one per column: column i holds indices[i]'s.
+
+    Digit k is the quotient by q**(n - 1 - k) less q times the quotient by
+    q**(n - k), the one above it."""
     powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (indices[:, None] // powers[None, :]) % q
+    digits = indices[None, :] // powers[:, None]
+    digits[1:] -= q * digits[:-1]
+    return digits
 
 
-def _chunk_rows_for(n: int) -> int:
-    return max(256, (1 << 21) // max(n * n, 1))
+def _chunk_rows_for(q: int, n: int) -> int:
+    """Lines per chunk, for about 2 MiB of working arrays: a GF(2) line
+    takes about 20 n bytes (its n packed words, the elimination's work
+    array and temporaries), a GF(p) line about 5 n**2 (its n x n stack and
+    a work array twice that size)."""
+    line_bytes = 20 * n if q == 2 else 5 * n * n
+    return max(256, (1 << 21) // line_bytes)
 
 
 def _accumulator_dtype(p: int, cols: int) -> type:
@@ -197,7 +262,7 @@ def _accumulator_dtype(p: int, cols: int) -> type:
 def _inverses_mod(values: np.ndarray, p: int) -> np.ndarray:
     """values ** (p - 2) mod p elementwise, the inverses of nonzero reduced
     values, by square and multiply in their own type, which must hold
-    (p - 1)**2.  A table of all p inverses would cost O(p) per call."""
+    (p - 1)**2.  Zero maps to zero for p > 2."""
     result = np.ones_like(values)
     base = values.copy()
     exponent = p - 2
@@ -209,88 +274,125 @@ def _inverses_mod(values: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
-def _batched_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form of a stack of matrices over GF(p).
+# Primes below this get a table of all p inverses, built once per prime;
+# larger ones square and multiply, since a table would cost O(p).
+_INVERSE_TABLE_PRIMES = 256
 
-    Returns (ranks, reduced) where reduced[i] holds the canonical echelon
-    rows of mats[i] on top and zero rows below, in the narrowest unsigned
-    type that holds p - 1.  The echelon form is unique, so it does not
-    depend on which eligible row becomes a pivot.
 
-    Reduction mod p is delayed.  Each column step reduces only the pivot
-    column and the pivot row, then adds (p - factor) * pivot_row to every
-    other row without reducing; one np.mod at the end finishes the job.
-    Pivot rows stay where they are and are gathered into echelon order at
-    the end.  A matrix with no pivot in a column eliminates with a zero
-    pivot row, which changes nothing.
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    """table[v] is the inverse of v mod p, and table[0] is 0."""
+    table = _inverses_mod(np.arange(p, dtype=np.uint32), p).astype(np.uint8)
+    table[0] = 0
+    # Every caller shares it.
+    table.flags.writeable = False
+    return table
+
+
+def _reduce(values: np.ndarray, p: int) -> np.ndarray:
+    """Unsigned values mod p, in place.  numpy divides integers by a scalar
+    through a precomputed multiplier, but np.remainder has no such path and
+    is an order of magnitude slower."""
+    multiples = values // p
+    multiples *= p
+    values -= multiples
+    return values
+
+
+def _batched_rref(stack: np.ndarray, p: int) -> np.ndarray:
+    """Reduced row echelon forms over GF(p) of a stack of matrices with
+    entries reduced mod p, laid out with the stack index last: stack[r, c,
+    i] is entry (r, c) of matrix i.
+
+    Returns pivots of shape (count, cols, cols), the layout of _xor_rref:
+    pivots[i, c] is the reduced echelon row of matrix i whose pivot is
+    column c, or a zero row when c is not a pivot column, in the narrowest
+    unsigned type that holds p - 1.  This layout is canonical, its nonzero
+    rows are the rank, and read in order they are the echelon rows.  The
+    echelon form is unique, so it does not depend on which eligible row
+    becomes a pivot.
+
+    The pivot row of column c moves to slot cols - 1 - c above the
+    matrix's rows, and the row it came from is eliminated to zero, so the
+    rows a step touches, the pivots found so far and the rows below them,
+    are one slice, and the slots read backwards are the pivots by column.
+    A step takes the first row with a nonzero entry in its column, found by
+    a max-reduce across the rows; a matrix with none takes the zero row
+    below its rows, and eliminating with a zero pivot changes nothing (the
+    inverse of zero is taken to be zero).  Reduction mod p is delayed: each
+    column step reduces only its column and the pivot row, then adds
+    (p - entry) * pivot_row to every row it touches without reducing; the
+    slots are reduced once at the end, and the other rows are then zero mod
+    p.
     """
-    count, rows, cols = mats.shape
-    dtype = _accumulator_dtype(p, cols)
-    # work[r, c, i] is entry (r, c) of matrix i: the stack index varies
-    # fastest, so every step runs long vector loops across the stack.
-    work = np.empty((rows, cols, count), dtype=dtype)
-    np.remainder(mats.transpose(1, 2, 0), p, out=work, casting="unsafe")
-    free = np.ones((rows, count), dtype=bool)
-    pivot_col = np.full((rows, count), cols, dtype=np.intp)
-    row_index = np.arange(rows)[:, None]
-    stack = np.arange(count)
-    lanes = np.arange(cols)[:, None] * count
+    rows, cols, count = stack.shape
+    work = np.zeros((cols + rows + 1, cols, count), dtype=_accumulator_dtype(p, cols))
+    work[cols : cols + rows] = stack
+    # The walk passes a stack nothing else refers to: release it before the
+    # elimination's temporaries are allocated.
+    del stack
+    flat = work.reshape(-1)
+    # Flat offsets of entry (cols, c) of matrix 0: row cols is the first row
+    # below the slots.
+    offsets = cols * cols * count + np.arange(cols)[:, None] * count
+    matrices = np.arange(count)
+    # The largest weight of a row with a nonzero entry names the first one;
+    # weight 0 names the zero row.
+    weights = np.arange(rows, -1, -1, dtype=np.min_scalar_type(rows))[:, None]
+    table = _inverse_table(p) if p < _INVERSE_TABLE_PRIMES else None
     for col in range(cols):
-        column = work[:, col]
-        np.remainder(column, p, out=column)
+        live = work[cols - col :, col:]
+        column = _reduce(live[:, 0], p)
         nonzero = column != 0
-        first = np.where(nonzero & free, row_index, rows).min(axis=0, initial=rows)
-        found = first < rows
-        if not found.any():
-            continue
-        src = np.where(found, first, 0)
-        pivot = work.ravel()[(src * (cols * count) + stack) + lanes[col:]]
-        np.remainder(pivot, p, out=pivot)
-        pivot *= _inverses_mod(pivot[0], p) * found
-        np.remainder(pivot, p, out=pivot)
-        # The pivot row holds pivot_value * pivot, so its factor is
-        # (1 - pivot_value) rather than -pivot_value.
-        factors = (p - column) * nonzero
-        factors[src, stack] = (factors[src, stack] + 1) % p
-        # Columns left of col are zero in the reduced pivot row.
-        work[:, col:] += factors[:, None, :] * pivot[None, :, :]
-        free[src[found], stack[found]] = False
-        pivot_col[src[found], stack[found]] = col
-    np.remainder(work, p, out=work)
-    # Pivot rows by pivot column on top; the rows left free are zero mod p.
-    order = np.argsort(pivot_col, axis=0, kind="stable")
-    reduced = work.transpose(2, 0, 1)[stack[:, None], order.T]
-    return rows - free.sum(axis=0), reduced.astype(np.min_scalar_type(p - 1), copy=False)
+        first = rows - (nonzero[col:] * weights).max(axis=0).astype(np.intp)
+        pivot = _reduce(flat[(first * (cols * count) + matrices) + offsets[col:]], p)
+        lead = pivot[0]
+        pivot *= table[lead] if table is not None else _inverses_mod(lead, p)
+        _reduce(pivot, p)
+        # Columns left of col are zero in the pivot row.
+        live += ((p - column) * nonzero)[:, None, :] * pivot[None, :, :]
+        work[cols - 1 - col, col:] = pivot
+    slots = _reduce(work[:cols], p)
+    return np.ascontiguousarray(slots[::-1].transpose(2, 0, 1), dtype=np.min_scalar_type(p - 1))
 
 
-def _products(chunk: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """stack[i, g, :] is the coefficient vector of 1_g * a_i, or of a_i * 1_g
-    when table is the right one of the _gather_tables.
+def _products(vectors: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """stack[g, k, i] is coordinate k of 1_g * a_i, or of a_i * 1_g when
+    table is the right one of the _gather_tables, where a_i is column i of
+    vectors, whose entries are reduced mod p: the layout _batched_rref
+    takes.  A one-dimensional table (one row g) gives the (n, count)
+    columns of those products.
 
     table[g, k] is the coordinate of a_i that lands on coordinate k, or n
-    for the zero column appended to the chunk.  Entries are reduced mod p,
-    in the narrowest unsigned type that holds p - 1, and the stack is
-    C-contiguous.
+    for the zero row appended to the vectors.  Entries are in the narrowest
+    unsigned type that holds p - 1.
     """
-    count, n = chunk.shape
-    padded = np.zeros((count, n + 1), dtype=np.min_scalar_type(p - 1))
-    np.remainder(chunk, p, out=padded[:, :n], casting="unsafe")
-    return np.take(padded, table, axis=1)
+    n, count = vectors.shape
+    padded = np.zeros((n + 1, count), dtype=np.min_scalar_type(p - 1))
+    padded[:n] = vectors
+    return padded[table]
 
 
-def _in_span(vectors: np.ndarray, rows: np.ndarray, p: int) -> bool:
-    """Whether every vector lies in the row space of rows, which are reduced
-    echelon rows over GF(p) with no zero row.
+def _members(vectors: np.ndarray, spans: np.ndarray, p: int) -> np.ndarray:
+    """inside[s, v]: whether vectors[v] lies in the row space of spans[s],
+    for a stack of spans of reduced echelon rows over GF(p) with no zero
+    row, all of one rank.
 
     The coordinates of a member at the pivot columns are its coefficients,
     so it equals that combination of the rows.  The products run in uint64:
     each sum has at most n terms below p**2, within the bound that
     _accumulator_dtype(p, n) enforces on every reduction of width n.
     """
-    pivots = (rows != 0).argmax(axis=1)
-    vectors = vectors.astype(np.uint64) % p
-    combos = vectors[:, pivots] @ rows.astype(np.uint64) % p
-    return bool((combos == vectors).all())
+    pivots = (spans != 0).argmax(axis=2)
+    vectors = _reduce(vectors.astype(np.uint64), p)
+    combos = _reduce(np.matmul(vectors[:, pivots].transpose(1, 0, 2), spans.astype(np.uint64)), p)
+    return (combos == vectors).all(axis=2)
+
+
+def _in_span(vectors: np.ndarray, rows: np.ndarray, p: int) -> bool:
+    """Whether every vector lies in the row space of rows, which are reduced
+    echelon rows over GF(p) with no zero row (see _members)."""
+    return bool(_members(vectors, rows[None], p).all())
 
 
 # Width of the packed GF(2) rows: coordinate k of a row is bit 31 - k.
@@ -382,24 +484,22 @@ def _xor_rref(words: np.ndarray, cols: int) -> np.ndarray:
     return np.ascontiguousarray(pivots.T)
 
 
-def _enumerate_ideals(
-    p: int, n: int, table: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All distinct cyclic ideal subspaces of GF(p)^n whose rows are the
-    products through the gather table (see _products), in first-generator
-    order, as pairs (echelon rows, first generator vector)."""
+def _enumerate_ideals(p: int, block: _Block, side: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All distinct cyclic ideal subspaces of the block, with rows the
+    products through its gather table of the side (see _products), in
+    first-generator order, as pairs (echelon rows, first generator vector)
+    in block coordinates."""
+    n = block.size
+    table = block.gather(side)
+    words = block.word_tables(side) if p == 2 else None
     seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    tables = _word_tables(table) if p == 2 else None
     # The full order of GF(p)^n: the integers grow as the lead moves left.
-    chunks = (chunk for lead in reversed(range(n)) for chunk in _lines(p, n, lead))
-    for indices in chunks:
-        if tables is None:
-            # Zero rows pad every reduced matrix, so its bytes in the
-            # narrowest type holding p - 1 are a canonical key.
-            ranks, reduced = _batched_rref(_products(_digits(indices, p, n), table, p), p)
+    for indices in _lines(p, n, reversed(range(n))):
+        # Reduced echelon forms indexed by pivot column are canonical keys.
+        if words is None:
+            reduced = _batched_rref(_products(_digits(indices, p, n), table, p), p)
         else:
-            # So are the pivot-indexed words (see _xor_rref).
-            reduced = _xor_rref(_packed_products(indices, tables), n)
+            reduced = _xor_rref(_packed_products(indices, words), n)
         # np.unique keeps the first occurrence of each key.
         flat = reduced.reshape(indices.shape[0], -1)
         keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0]
@@ -407,25 +507,40 @@ def _enumerate_ideals(
         for i in np.sort(first_indices):
             key = keys[i].tobytes()
             if key not in seen:
-                if tables is None:
-                    rows = reduced[i, : ranks[i]].copy()
+                if words is None:
+                    rows = reduced[i][reduced[i].any(axis=1)]
                 else:
                     rows = _unpack_words(reduced[i][reduced[i] != 0], n)
-                seen[key] = (rows, _digits(indices[i : i + 1], p, n)[0])
+                seen[key] = (rows, _digits(indices[i : i + 1], p, n)[:, 0])
     return list(seen.values())
 
 
 def _minimal_among(
     ideals: list[tuple[np.ndarray, np.ndarray]], p: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [
-        (rows, gen)
-        for rows, gen in ideals
-        if not any(
-            other.shape[0] < rows.shape[0] and _in_span(other, rows, p)
-            for other, _ in ideals
-        )
-    ]
+    """The ideals of the list that contain no smaller ideal of it, in list
+    order, for a list that holds every cyclic ideal of its block.
+
+    Dimensions are taken in increasing order, and the ideals of each are
+    tested against the minimal ideals of smaller dimension only, all of
+    them by one membership product: an ideal that is not minimal holds a
+    smaller nonzero ideal, hence a minimal one, which is cyclic and so in
+    the list.
+    """
+    dims = np.array([rows.shape[0] for rows, _ in ideals])
+    minimal: list[int] = []
+    for dim in np.unique(dims):
+        candidates = np.flatnonzero(dims == dim)
+        if minimal:
+            vectors = np.concatenate([ideals[j][0] for j in minimal])
+            starts = np.cumsum([0] + [dims[j] for j in minimal[:-1]])
+            spans = np.stack([ideals[i][0] for i in candidates])
+            outside = ~_members(vectors, spans, p)
+            # A minimal ideal lies in a candidate when none of its rows is outside.
+            holds_one = ~np.logical_or.reduceat(outside, starts, axis=1)
+            candidates = candidates[~holds_one.any(axis=1)]
+        minimal += candidates.tolist()
+    return [ideals[i] for i in sorted(minimal)]
 
 
 def _element(algebra: SteinbergAlgebra, vec: np.ndarray) -> AlgebraElement:
@@ -446,10 +561,8 @@ def _minimal_ideals(algebra: SteinbergAlgebra, side: str) -> list[LeftIdeal]:
     n = algebra.dim
     check_enum_size(p, n)
     found = []
-    for block in _blocks(algebra):
-        table = block.left if side == "left" else block.right
-        ideals = _enumerate_ideals(p, block.size, table)
-        for rows, gen in _minimal_among(ideals, p):
+    for block in _tables(algebra).blocks:
+        for rows, gen in _minimal_among(_enumerate_ideals(p, block, side), p):
             # Ideals of equal rank pad to the n x n matrix the unsplit walk
             # reduced with the same zero rows, so these bytes order them alike.
             full = block.embed(rows, n)
@@ -465,13 +578,16 @@ def _socle(algebra: SteinbergAlgebra, minimal: list[LeftIdeal]) -> LeftIdeal:
     """The sum of the given minimal ideals, verified to be closed under
     multiplication on both sides: a socle of either side is two-sided."""
     p = _require_prime_field(algebra)
-    rows = np.zeros((0, algebra.dim), dtype=np.int64)
+    n = algebra.dim
+    rows = np.zeros((0, n), dtype=np.int64)
     if minimal:
         stacked = np.array([row for ideal in minimal for row in ideal.rows], dtype=np.int64)
-        ranks, reduced = _batched_rref(stacked[None, :, :], p)
-        rows = reduced[0, : ranks[0]]
-    for table in _gather_tables(algebra):
-        if not _in_span(_products(rows, table, p).reshape(-1, algebra.dim), rows, p):
+        reduced = _batched_rref(stacked[:, :, None], p)[0]
+        rows = reduced[reduced.any(axis=1)]
+    for table in _tables(algebra).gather:
+        # Every product 1_g * r (or r * 1_g) of every row r, one per row.
+        products = _products(rows.T, table, p).transpose(0, 2, 1).reshape(-1, n)
+        if not _in_span(products, rows, p):
             raise RuntimeError("socle failed the two-sided closure check")
     generators = tuple(i.generators[0] for i in minimal)
     return LeftIdeal(algebra, generators, tuple(map(tuple, rows.tolist())), two_sided=True)
@@ -513,19 +629,19 @@ def _zero_divisors(indices: np.ndarray, block: _Block, p: int) -> np.ndarray:
     """The indices (see _lines) of the vectors a with a * 1_g * a = 0 for
     every g of block, in order: a vector drops out at the first g with
     a * 1_g * a != 0."""
-    chunk = _digits(indices, p, block.size)
+    vectors = _digits(indices, p, block.size)
     dtype = _accumulator_dtype(p, block.size)
-    # left[i, h] is 1_h * a_i, so (a_i * 1_g) * a_i sums its coefficient of
-    # 1_h times left[i, h]: block.size products of reduced values, within
-    # the bound of dtype.
-    left = _products(chunk, block.left, p).astype(dtype, copy=False)
+    # left[h, k, i] is coordinate k of 1_h * a_i, so (a_i * 1_g) * a_i sums
+    # its coefficient of 1_h times left[h, :, i]: block.size products of
+    # reduced values, within the bound of dtype.
+    left = _products(vectors, block.left, p).astype(dtype, copy=False)
     for g in range(block.size):
-        if not chunk.shape[0]:
+        if not indices.shape[0]:
             break
-        shifted = _products(chunk, block.right[g : g + 1], p)[:, 0]  # a * 1_g
-        conv = np.einsum("ih,ihk->ik", shifted.astype(dtype, copy=False), left) % p
-        keep = ~conv.any(axis=1)
-        indices, chunk, left = indices[keep], chunk[keep], left[keep]
+        shifted = _products(vectors, block.right[g], p).astype(dtype, copy=False)  # a * 1_g
+        conv = _reduce(np.einsum("hi,hki->ki", shifted, left), p)
+        keep = ~conv.any(axis=0)
+        indices, vectors, left = indices[keep], vectors[:, keep], left[:, :, keep]
     return indices
 
 
@@ -566,25 +682,29 @@ def oracle_is_semiprime(algebra: SteinbergAlgebra) -> SemiprimeReport:
     coordinate lowers a's integer value, so the first absolute zero divisor
     lies in one block.  The walk therefore visits only vectors supported in
     one block, led by each coordinate in turn from the last to the first,
-    which is their order in the full enumeration.
+    which is their order in the full enumeration.  Consecutive coordinates
+    of one block are consecutive leads of it, so each run of them is one
+    stream of chunks.
     """
     p = _require_prime_field(algebra)
     n = algebra.dim
     check_enum_size(p, n)
-    owner = {}
-    for block in _blocks(algebra):
-        tables = (_word_tables(block.left), _word_tables(block.right)) if p == 2 else None
-        for lead, full in enumerate(block.index):
-            owner[int(full)] = (block, lead, tables)
-    for full in reversed(range(n)):
-        block, lead, tables = owner[full]
-        for indices in _lines(p, block.size, lead):
-            if tables is None:
-                indices = _zero_divisors(indices, block, p)
+    blocks = _tables(algebra).blocks
+    owner, lead_of = [0] * n, [0] * n
+    for b, block in enumerate(blocks):
+        for lead, full in enumerate(block.index.tolist()):
+            owner[full], lead_of[full] = b, lead
+    for b, run in groupby(reversed(range(n)), key=owner.__getitem__):
+        block = blocks[b]
+        for indices in _lines(p, block.size, [lead_of[full] for full in run]):
+            if p == 2:
+                indices = _xor_zero_divisors(
+                    indices, block.word_tables("left"), block.word_tables("right")
+                )
             else:
-                indices = _xor_zero_divisors(indices, *tables)
+                indices = _zero_divisors(indices, block, p)
             # The survivors keep their order, so the first is the witness.
             if indices.shape[0]:
-                witness = block.embed(_digits(indices[:1], p, block.size)[0], n)
+                witness = block.embed(_digits(indices[:1], p, block.size)[:, 0], n)
                 return SemiprimeReport(semiprime=False, witness=_element(algebra, witness))
     return SemiprimeReport(semiprime=True, witness=None)

@@ -304,6 +304,18 @@ def test_oracle_cap_counts_the_whole_algebra(run, tmp_path):
     assert "3^14" in err
 
 
+@pytest.mark.parametrize("field", ["f2", "f3"])
+def test_oracle_converts_the_gather_tables_once(run, files, monkeypatch, field):
+    # The minimal ideals, the socle's closure check and the semiprime walk
+    # share one set of tables per algebra.
+    calls = []
+    gather_tables = oracle._gather_tables
+    monkeypatch.setattr(oracle, "_gather_tables", lambda a: calls.append(a) or gather_tables(a))
+    code, _, _ = run("oracle", files["pair3"], "--field", field, "--semiprime")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_oracle_failed_closure_check_exits_70(run, files, monkeypatch):
     # a socle that fails its two-sided closure check is reported, not raised
     monkeypatch.setattr(oracle, "_in_span", lambda vectors, rows, p: False)

@@ -1,5 +1,7 @@
 import ast
+import gc
 import random
+import weakref
 from math import isqrt
 from pathlib import Path
 
@@ -28,12 +30,12 @@ from steinberg.oracle import (
     _WORD_BITS,
     _accumulator_dtype,
     _batched_rref,
-    _blocks,
     _digits,
     _gather_tables,
     _in_span,
     _packed_products,
     _products,
+    _tables,
     _unpack_words,
     _word_tables,
     _xor_rref,
@@ -280,12 +282,12 @@ def test_blocks_are_the_orbit_classes(seed, size, max_isotropy):
     rng.shuffle(order)
     g = reordered(g, order)
     algebra = SteinbergAlgebra(g, PrimeField(2))
-    blocks = [[g.elements[i] for i in block.index] for block in _blocks(algebra)]
+    blocks = [[g.elements[i] for i in block.index] for block in _tables(algebra).blocks]
     orbits = [
         [x for x in g.elements if g.r(x) in cls.members] for cls in g.orbit_classes()
     ]
     assert sorted(blocks) == sorted(orbits)
-    for block in _blocks(algebra):
+    for block in _tables(algebra).blocks:
         assert block.index.tolist() == sorted(block.index.tolist())
     for i, first in enumerate(blocks):
         for second in blocks[i + 1 :]:
@@ -302,10 +304,39 @@ def test_block_split_keeps_the_whole_algebra_cap():
         pair_groupoid(["a", "b", "c"]), pair_groupoid(["x", "y"]), trivial_groupoid("pt")
     )
     algebra = SteinbergAlgebra(g, PrimeField(3))
-    assert len(_blocks(algebra)) == 3
+    assert len(_tables(algebra).blocks) == 3
     for walk in (oracle_minimal_ideals, oracle_minimal_right_ideals, oracle_is_semiprime):
         with pytest.raises(SizeCapExceeded, match="3\\^14"):
             walk(algebra)
+
+
+def test_the_table_cache_keeps_no_algebra_alive():
+    algebra = SteinbergAlgebra(pair_groupoid(["a", "b"]), PrimeField(2))
+    oracle_socle(algebra)
+    oracle_is_semiprime(algebra)
+    assert algebra in oracle._TABLES
+    dropped = weakref.ref(algebra)
+    del algebra
+    gc.collect()
+    assert dropped() is None
+
+
+@pytest.mark.parametrize(
+    "objects, k, p",
+    [
+        pytest.param(["x", "y"], 5, 2, id="2 points x Z5 over f2 (2^20 vectors)"),
+        pytest.param(["x", "y"], 3, 3, id="2 points x Z3 over f3 (3^12 vectors)"),
+    ],
+)
+def test_connected_inputs_at_the_cap_answer_promptly(time_limit, objects, k, p):
+    algebra = SteinbergAlgebra(transitive_groupoid(objects, cyclic_group(k)), PrimeField(p))
+    with time_limit(10):
+        minimal = oracle_minimal_ideals(algebra)
+        soc = oracle_socle(algebra, minimal=minimal)
+        report = oracle_is_semiprime(algebra)
+    # F2[Z5] = F2 x F16 is semisimple; F3[Z3] is local with a 1-dimensional socle.
+    assert report.semiprime == (p == 2)
+    assert soc.dimension == (2 * 2 * k if p == 2 else 4)
 
 
 def test_oracle_rejects_rationals():
@@ -340,11 +371,25 @@ def _rank_deficient(gen, p, rows, cols):
     return gen.integers(0, p, size=(rows, inner)) @ gen.integers(0, p, size=(inner, cols))
 
 
+def _echelon_on_top(pivots):
+    """A stack of reduced echelon forms indexed by pivot column, as (ranks,
+    reduced) with the echelon rows on top and zero rows below, after
+    checking the layout: row c is zero or has its pivot at c."""
+    cols = pivots.shape[2]
+    nonzero = pivots.any(axis=2)
+    assert (pivots[:, np.arange(cols), np.arange(cols)] == nonzero).all()
+    assert not np.tril(pivots, -1).any()
+    order = np.argsort(~nonzero, axis=1, kind="stable")
+    return nonzero.sum(axis=1), np.take_along_axis(pivots, order[:, :, None], axis=1)
+
+
 def _delayed_kernel(mats, p, dtype):
+    """_batched_rref on the matrices reduced mod p, in its stack-last layout."""
     assert _accumulator_dtype(p, mats.shape[2]) is dtype
-    ranks, reduced = _batched_rref(mats, p)
-    assert reduced.dtype == np.min_scalar_type(p - 1) and ranks.dtype == np.int64
-    return ranks, reduced
+    pivots = _batched_rref((mats % p).transpose(1, 2, 0), p)
+    assert pivots.dtype == np.min_scalar_type(p - 1)
+    assert pivots.shape == (mats.shape[0], mats.shape[2], mats.shape[2])
+    return _echelon_on_top(pivots)
 
 
 def _pack(bits):
@@ -359,13 +404,7 @@ def _word_kernel(mats, p, dtype):
     cols = mats.shape[2]
     pivots = _xor_rref(_pack(mats % 2), cols)
     assert pivots.dtype == dtype and pivots.shape == (mats.shape[0], cols)
-    unpacked = _unpack_words(pivots, cols)
-    # The word at column c is zero or has its pivot, its leading bit, at c.
-    nonzero = pivots != 0
-    assert (unpacked[:, np.arange(cols), np.arange(cols)] == nonzero).all()
-    assert not np.tril(unpacked, -1).any()
-    order = np.argsort(~nonzero, axis=1, kind="stable")
-    return nonzero.sum(axis=1), np.take_along_axis(unpacked, order[:, :, None], axis=1)
+    return _echelon_on_top(_unpack_words(pivots, cols))
 
 
 @pytest.mark.parametrize(
@@ -393,7 +432,6 @@ def _word_kernel(mats, p, dtype):
 )
 def test_batched_rref_matches_the_reference_echelon_form(kernel, p, rows, cols, dtype):
     gen = np.random.default_rng(p * 1000 + cols)
-    # entries outside [0, p) check that the input is reduced first
     mats = gen.integers(-2 * p, 2 * p, size=(12, rows, cols))
     mats[0] = 0
     mats[1] = _rank_deficient(gen, p, rows, cols)
@@ -414,12 +452,12 @@ def test_the_widest_gf2_block_fits_the_packed_word():
     widest = ENUM_CAP.bit_length() - 1
     assert widest <= _WORD_BITS
     algebra = SteinbergAlgebra(one_object_groupoid(cyclic_group(widest)), PrimeField(2))
-    (block,) = _blocks(algebra)
+    (block,) = _tables(algebra).blocks
     indices = np.array([1, 2**widest - 1, 2 ** (widest - 1) + 5, 0b1011 << 9], dtype=np.int64)
     for table in (block.left, block.right):
         words = _packed_products(indices, _word_tables(table))
         stack = _products(_digits(indices, 2, widest), table, 2)
-        assert (_unpack_words(words, widest) == stack).all()
+        assert (_unpack_words(words, widest) == stack.transpose(2, 0, 1)).all()
     too_wide = np.full((_WORD_BITS + 1, _WORD_BITS + 1), _WORD_BITS + 1)
     with pytest.raises(OverflowError):
         _word_tables(too_wide)
@@ -438,9 +476,9 @@ def test_batched_rref_stays_exact_at_the_widest_narrow_type(p):
     mat[:m, m + 1] = p - 1
     mat[m, : m + 1] = 1
     mat[m, m] = p - 1
-    ranks, reduced = _batched_rref(mat[None], p)
+    pivots = _batched_rref(mat[:, :, None], p)[0]
     expected = rref(PrimeField(p), mat.tolist(), cols).canonical()
-    assert reduced[0, : ranks[0]].tolist() == [list(row) for row in expected]
+    assert pivots[pivots.any(axis=1)].tolist() == [list(row) for row in expected]
 
 
 @pytest.mark.parametrize("p", [2, 3, 257, 65537])
@@ -487,21 +525,33 @@ def test_products_match_the_action_tables():
             chunk = gen.integers(0, p, size=(7, algebra.dim))
             left, right = _gather_tables(algebra)
             for table, action in ((left, algebra.left_action), (right, algebra.right_action)):
-                stack = _products(chunk, table, p)
+                # the stack-last layout of _batched_rref
+                stack = _products(chunk.T, table, p)
                 assert stack.flags.c_contiguous
-                assert stack.shape == (7, algebra.dim, algebra.dim)
+                assert stack.shape == (algebra.dim, algebra.dim, 7)
                 for i, vec in enumerate(chunk.tolist()):
                     for g_index in range(algebra.dim):
-                        assert stack[i, g_index].tolist() == action(g_index, vec)
+                        assert stack[g_index, :, i].tolist() == action(g_index, vec)
                 if p == 2:
                     # the packed words of the GF(2) walks, from each
                     # vector's index (see _lines)
                     indices = chunk @ (1 << np.arange(algebra.dim - 1, -1, -1))
                     words = _packed_products(indices, _word_tables(table))
-                    assert (_unpack_words(words, algebra.dim) == stack).all()
+                    assert (_unpack_words(words, algebra.dim) == stack.transpose(2, 0, 1)).all()
 
 
-def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+def _interleaved_union():
+    """pair(a, b) + Z2 + pt with its blocks interleaved in canonical order:
+    every two consecutive coordinates lie in different blocks."""
+    g = disjoint_union(
+        pair_groupoid(["a", "b"]), transitive_groupoid(["y"], cyclic_group(2)), trivial_groupoid("pt")
+    )
+    return reordered(g, [0, 4, 1, 6, 2, 5, 3])
+
+
+# Chunks of 1, 3 and 7 lines end inside a lead; 7 and 64 span several leads.
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7, 64])
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, chunk_rows):
     def summary(algebra):
         witness = oracle_is_semiprime(algebra).witness
         return (
@@ -525,10 +575,16 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
             disjoint_union(pair_groupoid(["a", "b"]), one_object_groupoid(symmetric_group_3())),
             PrimeField(2),
         ),
+        # The semiprime walk runs one block per coordinate: semiprime over
+        # GF(3), so it walks every run; over GF(2) the Z2 block has a witness.
+        SteinbergAlgebra(_interleaved_union(), PrimeField(3)),
+        SteinbergAlgebra(_interleaved_union(), PrimeField(2)),
     ]
+    owner = {int(i): b for b, block in enumerate(_tables(algebras[-1]).blocks) for i in block.index}
+    assert all(owner[i] != owner[i + 1] for i in range(len(owner) - 1))
     whole = [summary(algebra) for algebra in algebras]
-    assert whole[-1][1] is not None
-    monkeypatch.setattr(oracle, "_chunk_rows_for", lambda n: 3)
+    assert [w is None for _, w in whole] == [True, True, False, False, True, False]
+    monkeypatch.setattr(oracle, "_chunk_rows_for", lambda q, n: chunk_rows)
     assert [summary(algebra) for algebra in algebras] == whole
 
 
