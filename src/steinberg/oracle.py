@@ -7,8 +7,9 @@ q^dim cap), computes the left ideal A a as the row space of all products
 minimal under inclusion and sums them into the socle.  Right ideals a A run
 through the same enumeration with the products a * 1_g.  Either socle is
 verified to be closed under multiplication on both sides.  Semiprimeness
-is decided by the same walk (see _lines for why it suffices), searching
-for an absolute zero divisor: a nonzero a with a * 1_g * a = 0 for all g.
+is read off the same cyclic left ideals: an absolute zero divisor, a
+nonzero a with a * 1_g * a = 0 for all g, is a generator that annihilates
+the rows of its ideal (see oracle_is_semiprime).
 
 Everything runs on numpy arrays, processed in enumeration order in bounded
 chunks that run on across the borders between leading coordinates (see
@@ -31,7 +32,7 @@ smaller dimension lies in it, and one product tests all the ideals of a
 dimension at once.  The engine (socle module) deliberately shares no
 linear algebra with this module.
 
-Over GF(2) both walks keep every product row as one packed uint32 word,
+Over GF(2) the walk keeps every product row as one packed uint32 word,
 coordinate k at bit 31 - k; the widest block the cap admits has 20
 coordinates.  A chunk's packed rows are the integer product of its 0/1
 vectors with a weight table built once per block from the gather table,
@@ -40,11 +41,9 @@ is built and no float is used (see _word_tables).  Row reduction is XOR
 elimination across the stack (_xor_rref).  Its reduced words, indexed by
 pivot column, are the canonical key: the nonzero ones are the rank, and
 read in order they descend, which is echelon order.  Only the distinct
-ideals are unpacked to the uint8 rows the other fields give.  The
-semiprime walk gets each (a * 1_g) * a as one XOR-reduce of the packed
-words 1_h * a over the bits h of a * 1_g.
+ideals are unpacked to the uint8 rows the other fields give.
 
-Both walks run once per connected block of the composition table.  A
+The walk runs once per connected block of the composition table.  A
 union-find over the entries below n of the left gather table, connectivity
 only and no orbit or isotropy reasoning, splits the basis into blocks: an
 entry [g, k] = j < n says 1_g * 1_j = 1_k, so every composable pair is one
@@ -58,19 +57,19 @@ it (local units put a generator in the ideal it generates).  Embedding
 block coordinates into the full ones keeps their order, so an embedded
 reduced echelon matrix is still reduced echelon and canonical, and the
 first generator of each ideal and the sort by dimension and canonical bytes
-are unchanged.  For the absolute zero divisor, see oracle_is_semiprime.
+are unchanged.
 
 The full gather tables, the blocks with their restricted tables and, over
 GF(2), their word tables are built once per algebra (see _tables) and
-shared by the minimal ideals, the socle's closure check and the semiprime
-walk.
+shared by the minimal ideals and the socle's closure check.  Each block
+keeps the cyclic ideals of each side once walked, so the semiprime test
+reads the left ones the minimal ideals listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -111,8 +110,9 @@ class _Block:
     index: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    # The _word_tables of each side, built on first use.
+    # The _word_tables and the _enumerate_ideals of each side, built on first use.
     words: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    ideals: dict[str, list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
@@ -190,27 +190,24 @@ def _tables(algebra: SteinbergAlgebra) -> _Tables:
     return tables
 
 
-def _lines(q: int, n: int, leads):
-    """One coefficient vector per scalar line of GF(q)^n whose leading
-    nonzero coordinate is one of leads, lead by lead in the given order, as
-    the increasing integers whose base-q digits they are (first coordinate,
+def _lines(q: int, n: int):
+    """One coefficient vector per scalar line of GF(q)^n, in increasing
+    order, as the integers whose base-q digits they are (first coordinate,
     in canonical basis order, most significant; see _digits), in chunks of
-    at most _chunk_rows_for(q, n) that run on from one lead into the next.
+    at most _chunk_rows_for(q, n) that run on from one leading coordinate
+    into the next.
 
     The representative of a line is its vector with leading nonzero digit
-    1, so the representatives led by coordinate lead are the integers in
-    [q**m, 2*q**m) for m = n - 1 - lead.  Scaling a by c != 0 changes
-    neither the cyclic ideal a generates nor whether a * A * a = 0.  And
-    the first vector of a line in the full order [1, q**n) is its
-    representative: if a had leading digit c != 1, then c^-1 * a would lie
-    on the same line with a smaller integer value.  So the first generator
-    recorded per ideal, and the first absolute zero divisor, are those of
-    the full enumeration.
+    1, so the representatives led by coordinate n - 1 - m are the integers
+    in [q**m, 2*q**m).  Scaling a by c != 0 does not change the cyclic
+    ideal a generates.  And the first vector of a line in the full order
+    [1, q**n) is its representative: if a had leading digit c != 1, then
+    c^-1 * a would lie on the same line with a smaller integer value.  So
+    the first generator recorded per ideal is that of the full enumeration.
     """
     chunk_rows = _chunk_rows_for(q, n)
     parts, size = [], 0
-    for lead in leads:
-        m = n - 1 - lead
+    for m in range(n):
         start, stop = q**m, 2 * q**m
         while start < stop:
             upper = min(start + chunk_rows - size, stop)
@@ -360,8 +357,7 @@ def _products(vectors: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
     """stack[g, k, i] is coordinate k of 1_g * a_i, or of a_i * 1_g when
     table is the right one of the _gather_tables, where a_i is column i of
     vectors, whose entries are reduced mod p: the layout _batched_rref
-    takes.  A one-dimensional table (one row g) gives the (n, count)
-    columns of those products.
+    takes.
 
     table[g, k] is the coordinate of a_i that lands on coordinate k, or n
     for the zero row appended to the vectors.  Entries are in the narrowest
@@ -431,23 +427,17 @@ def _word_tables(table: np.ndarray) -> np.ndarray:
 
 def _packed_products(indices: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """words[i, g]: the packed product of g with the vector whose binary
-    digits indices[i] is, by one lookup per byte in the _word_tables
-    (words[i] alone for the tables[:, :, g] of one g)."""
+    digits indices[i] is, by one lookup per byte in the _word_tables."""
     words = np.take(tables[0], indices & 255, axis=0)
     for t in range(1, tables.shape[0]):
         words |= np.take(tables[t], (indices >> (8 * t)) & 255, axis=0)
     return words
 
 
-def _bit_shifts(n: int) -> np.ndarray:
-    """The right shifts that bring coordinates 0..n-1 of a packed word to
-    bit 0."""
-    return np.arange(_WORD_BITS - 1, _WORD_BITS - 1 - n, -1, dtype=np.uint32)
-
-
 def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     """The 0/1 coordinates of packed GF(2) rows, in uint8 (last axis n)."""
-    return ((words[..., None] >> _bit_shifts(n)) & 1).astype(np.uint8)
+    shifts = np.arange(_WORD_BITS - 1, _WORD_BITS - 1 - n, -1, dtype=np.uint32)
+    return ((words[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 def _xor_rref(words: np.ndarray, cols: int) -> np.ndarray:
@@ -488,13 +478,15 @@ def _enumerate_ideals(p: int, block: _Block, side: str) -> list[tuple[np.ndarray
     """All distinct cyclic ideal subspaces of the block, with rows the
     products through its gather table of the side (see _products), in
     first-generator order, as pairs (echelon rows, first generator vector)
-    in block coordinates."""
+    in block coordinates.  The walk runs once per block and side; later
+    calls return the list it kept."""
+    if side in block.ideals:
+        return block.ideals[side]
     n = block.size
     table = block.gather(side)
     words = block.word_tables(side) if p == 2 else None
     seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    # The full order of GF(p)^n: the integers grow as the lead moves left.
-    for indices in _lines(p, n, reversed(range(n))):
+    for indices in _lines(p, n):
         # Reduced echelon forms indexed by pivot column are canonical keys.
         if words is None:
             reduced = _batched_rref(_products(_digits(indices, p, n), table, p), p)
@@ -512,7 +504,8 @@ def _enumerate_ideals(p: int, block: _Block, side: str) -> list[tuple[np.ndarray
                 else:
                     rows = _unpack_words(reduced[i][reduced[i] != 0], n)
                 seen[key] = (rows, _digits(indices[i : i + 1], p, n)[:, 0])
-    return list(seen.values())
+    ideals = block.ideals[side] = list(seen.values())
+    return ideals
 
 
 def _minimal_among(
@@ -625,86 +618,61 @@ def oracle_right_socle(
     return _socle(algebra, minimal)
 
 
-def _zero_divisors(indices: np.ndarray, block: _Block, p: int) -> np.ndarray:
-    """The indices (see _lines) of the vectors a with a * 1_g * a = 0 for
-    every g of block, in order: a vector drops out at the first g with
-    a * 1_g * a != 0."""
-    vectors = _digits(indices, p, block.size)
-    dtype = _accumulator_dtype(p, block.size)
-    # left[h, k, i] is coordinate k of 1_h * a_i, so (a_i * 1_g) * a_i sums
-    # its coefficient of 1_h times left[h, :, i]: block.size products of
-    # reduced values, within the bound of dtype.
-    left = _products(vectors, block.left, p).astype(dtype, copy=False)
-    for g in range(block.size):
-        if not indices.shape[0]:
-            break
-        shifted = _products(vectors, block.right[g], p).astype(dtype, copy=False)  # a * 1_g
-        conv = _reduce(np.einsum("hi,hki->ki", shifted, left), p)
-        keep = ~conv.any(axis=0)
-        indices, vectors, left = indices[keep], vectors[:, keep], left[:, :, keep]
-    return indices
-
-
-def _xor_zero_divisors(
-    indices: np.ndarray, left_tables: np.ndarray, right_tables: np.ndarray
-) -> np.ndarray:
-    """_zero_divisors over GF(2), on packed words (see _word_tables)."""
-    n = left_tables.shape[2]
-    shifts = _bit_shifts(n)[:, None]
-    # left[h, i] is the word of 1_h * a_i, so (a_i * 1_g) * a_i is the XOR
-    # of left[h, i] over the bits h of the word of a_i * 1_g, which is
-    # packed only for the vectors still in the walk.
-    left = np.ascontiguousarray(_packed_products(indices, left_tables).T)
-    for g in range(n):
-        if not indices.shape[0]:
-            break
-        bits = (_packed_products(indices, right_tables[:, :, g]) >> shifts) & 1
-        keep = np.bitwise_xor.reduce(left * bits, axis=0) == 0
-        indices, left = indices[keep], left[:, keep]
-    return indices
-
-
 @dataclass
 class SemiprimeReport:
     semiprime: bool
     witness: AlgebraElement | None
 
 
+def _first_zero_divisor(p: int, block: _Block) -> np.ndarray | None:
+    """The block's first absolute zero divisor in the order of its walk, in
+    block coordinates, or None: the first generator of the first cyclic
+    left ideal, in first-generator order, whose rows it annihilates.
+
+    One gather stacks 1_h * r for every row r of every ideal, and a * r sums
+    a's coefficient of 1_h times those: block.size products of reduced
+    values, within the bound of _accumulator_dtype(p, block.size).
+    """
+    ideals = _enumerate_ideals(p, block, "left")
+    rows, gens = zip(*ideals)
+    dims = [r.shape[0] for r in rows]
+    dtype = _accumulator_dtype(p, block.size)
+    stack = _products(np.concatenate(rows).T, block.left, p).astype(dtype, copy=False)
+    gens = np.repeat(np.array(gens, dtype=dtype), dims, axis=0)
+    products = _reduce(np.einsum("jh,hkj->jk", gens, stack), p)
+    starts = np.cumsum([0] + dims[:-1])
+    annihilated = ~np.logical_or.reduceat(products.any(axis=1), starts)
+    return ideals[int(annihilated.argmax())][1] if annihilated.any() else None
+
+
 def oracle_is_semiprime(algebra: SteinbergAlgebra) -> SemiprimeReport:
-    """Search one nonzero a per scalar line for the absolute zero divisor
-    property a * A * a = 0; the witness is the first such a in the order of
-    the full enumeration (see _lines).
+    """Whether some nonzero a has the absolute zero divisor property
+    a * A * a = 0; the witness is the first such a in the order of the full
+    enumeration (see _lines).
+
+    The rows of the left ideal A a span the products 1_g * a, so a * A * a
+    = 0 exactly when a annihilates them.  That depends on the ideal only:
+    a * A * a = 0 if and only if (A a)(A a) = A (a * A * a) = 0, as local
+    units put a in A a.  So the first absolute zero divisor is the first
+    generator of its ideal, and the cyclic ideals the minimal ideals walk
+    lists (see _enumerate_ideals) hold every candidate.
 
     Products across blocks vanish, so for g in block i, a * 1_g * a =
     a_i * 1_g * a_i where a_i is the component of a in block i: a is an
     absolute zero divisor exactly when each of its components is one or
     zero.  Dropping every component but the one holding a's leading
     coordinate lowers a's integer value, so the first absolute zero divisor
-    lies in one block.  The walk therefore visits only vectors supported in
-    one block, led by each coordinate in turn from the last to the first,
-    which is their order in the full enumeration.  Consecutive coordinates
-    of one block are consecutive leads of it, so each run of them is one
-    stream of chunks.
+    lies in one block, and it is the first of the blocks' first ones in the
+    full order, which compares coefficient vectors lexicographically.
     """
     p = _require_prime_field(algebra)
     n = algebra.dim
     check_enum_size(p, n)
-    blocks = _tables(algebra).blocks
-    owner, lead_of = [0] * n, [0] * n
-    for b, block in enumerate(blocks):
-        for lead, full in enumerate(block.index.tolist()):
-            owner[full], lead_of[full] = b, lead
-    for b, run in groupby(reversed(range(n)), key=owner.__getitem__):
-        block = blocks[b]
-        for indices in _lines(p, block.size, [lead_of[full] for full in run]):
-            if p == 2:
-                indices = _xor_zero_divisors(
-                    indices, block.word_tables("left"), block.word_tables("right")
-                )
-            else:
-                indices = _zero_divisors(indices, block, p)
-            # The survivors keep their order, so the first is the witness.
-            if indices.shape[0]:
-                witness = block.embed(_digits(indices[:1], p, block.size)[:, 0], n)
-                return SemiprimeReport(semiprime=False, witness=_element(algebra, witness))
-    return SemiprimeReport(semiprime=True, witness=None)
+    candidates = []
+    for block in _tables(algebra).blocks:
+        gen = _first_zero_divisor(p, block)
+        if gen is not None:
+            candidates.append(block.embed(gen, n).tolist())
+    if not candidates:
+        return SemiprimeReport(semiprime=True, witness=None)
+    return SemiprimeReport(semiprime=False, witness=_element(algebra, min(candidates)))

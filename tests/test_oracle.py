@@ -245,6 +245,12 @@ def _split_cases():
     for g in all_groupoids_up_to(6) + unions:
         for p in (2, 3):
             yield SteinbergAlgebra(g, PrimeField(p))
+    # Larger primes widen the square-zero test's accumulator: uint16 for
+    # p = 17.  Z5 over GF(5) is not semiprime.
+    for g in all_groupoids_up_to(3):
+        for p in (5, 17):
+            yield SteinbergAlgebra(g, PrimeField(p))
+    yield SteinbergAlgebra(one_object_groupoid(cyclic_group(5)), PrimeField(5))
 
 
 def test_split_walks_match_the_unsplit_walks():
@@ -337,6 +343,10 @@ def test_connected_inputs_at_the_cap_answer_promptly(time_limit, objects, k, p):
     # F2[Z5] = F2 x F16 is semisimple; F3[Z3] is local with a 1-dimensional socle.
     assert report.semiprime == (p == 2)
     assert soc.dimension == (2 * 2 * k if p == 2 else 4)
+    # Semiprimeness alone on a fresh algebra pays for the whole ideal walk.
+    fresh = SteinbergAlgebra(transitive_groupoid(objects, cyclic_group(k)), PrimeField(p))
+    with time_limit(10):
+        assert oracle_is_semiprime(fresh) == report
 
 
 def test_oracle_rejects_rationals():
@@ -348,7 +358,7 @@ def test_oracle_rejects_rationals():
 
 
 def test_oracle_respects_enumeration_cap():
-    # 2^25 vectors exceed the fixed 2^20 cap, for both walks
+    # 2^25 vectors exceed the fixed 2^20 cap, for the ideals and for semiprimeness
     algebra = SteinbergAlgebra(pair_groupoid(["a", "b", "c", "d", "e"]), PrimeField(2))
     with pytest.raises(SizeCapExceeded, match="2\\^25"):
         oracle_minimal_ideals(algebra)
@@ -562,30 +572,34 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, chunk_rows):
             None if witness is None else element_to_obj(witness),
         )
 
-    algebras = [
-        SteinbergAlgebra(pair_groupoid(["a", "b", "c"]), PrimeField(2)),
-        SteinbergAlgebra(
-            disjoint_union(pair_groupoid(["a", "b"]), trivial_groupoid("z")), PrimeField(3)
-        ),
-        SteinbergAlgebra(one_object_groupoid(cyclic_group(3)), PrimeField(3)),
-        # Not semiprime over GF(2).  The witness is the 32nd line led by its
-        # coordinate in the S3 block, so the GF(2) walk reaches it across
-        # ten chunk borders.
-        SteinbergAlgebra(
-            disjoint_union(pair_groupoid(["a", "b"]), one_object_groupoid(symmetric_group_3())),
-            PrimeField(2),
-        ),
-        # The semiprime walk runs one block per coordinate: semiprime over
-        # GF(3), so it walks every run; over GF(2) the Z2 block has a witness.
-        SteinbergAlgebra(_interleaved_union(), PrimeField(3)),
-        SteinbergAlgebra(_interleaved_union(), PrimeField(2)),
-    ]
-    owner = {int(i): b for b, block in enumerate(_tables(algebras[-1]).blocks) for i in block.index}
+    def algebras():
+        # Fresh algebras for each pass: each block keeps the ideals it walked.
+        return [
+            SteinbergAlgebra(pair_groupoid(["a", "b", "c"]), PrimeField(2)),
+            SteinbergAlgebra(
+                disjoint_union(pair_groupoid(["a", "b"]), trivial_groupoid("z")), PrimeField(3)
+            ),
+            SteinbergAlgebra(one_object_groupoid(cyclic_group(3)), PrimeField(3)),
+            # Not semiprime over GF(2).  The witness is the 32nd line led by
+            # its coordinate in the S3 block, so the GF(2) walk reaches it
+            # across ten chunk borders.
+            SteinbergAlgebra(
+                disjoint_union(pair_groupoid(["a", "b"]), one_object_groupoid(symmetric_group_3())),
+                PrimeField(2),
+            ),
+            # One block per coordinate: semiprime over GF(3); over GF(2) the
+            # Z2 block has a witness.
+            SteinbergAlgebra(_interleaved_union(), PrimeField(3)),
+            SteinbergAlgebra(_interleaved_union(), PrimeField(2)),
+        ]
+
+    first = algebras()
+    owner = {int(i): b for b, block in enumerate(_tables(first[-1]).blocks) for i in block.index}
     assert all(owner[i] != owner[i + 1] for i in range(len(owner) - 1))
-    whole = [summary(algebra) for algebra in algebras]
+    whole = [summary(algebra) for algebra in first]
     assert [w is None for _, w in whole] == [True, True, False, False, True, False]
     monkeypatch.setattr(oracle, "_chunk_rows_for", lambda q, n: chunk_rows)
-    assert [summary(algebra) for algebra in algebras] == whole
+    assert [summary(algebra) for algebra in algebras()] == whole
 
 
 def test_oracle_stays_independent_of_the_engine():
