@@ -25,23 +25,28 @@ reduction accumulates between its reductions mod p, and only pivot columns
 and pivot rows are reduced along the way.  Each pivot row moves into a slot
 indexed by its pivot column, so a reduced echelon form comes out indexed by
 pivot column with no final sort.  That form is canonical: a chunk's ideals
-are deduplicated by its bytes, and membership in an echelon span is one
-matrix product, because a member's entries at the pivot columns are its
+are deduplicated by its bytes, folded into one 64-bit fingerprint per form
+and checked exactly against the first form of each fingerprint (see
+_first_occurrences), and membership in an echelon span is one matrix
+product, because a member's entries at the pivot columns are its
 coefficients.  An ideal is minimal when none of the minimal ideals of
 smaller dimension lies in it, and one product tests all the ideals of a
 dimension at once.  The engine (socle module) deliberately shares no
 linear algebra with this module.
 
-Over GF(2) the walk keeps every product row as one packed uint32 word,
-coordinate k at bit 31 - k; the widest block the cap admits has 20
-coordinates.  A chunk's packed rows are the integer product of its 0/1
-vectors with a weight table built once per block from the gather table,
-looked up eight coordinates at a time (Four Russians), so no n x n stack
-is built and no float is used (see _word_tables).  Row reduction is XOR
-elimination across the stack (_xor_rref).  Its reduced words, indexed by
-pivot column, are the canonical key: the nonzero ones are the rank, and
-read in order they descend, which is echelon order.  Only the distinct
-ideals are unpacked to the uint8 rows the other fields give.
+Over GF(2) the walk keeps every product row as one packed word, the
+narrowest of uint8, uint16 and uint32 that holds the block's coordinates,
+coordinate k at bit bits - 1 - k of a word of bits bits (see _word_dtype);
+the widest block the cap admits has 20 coordinates and takes uint32.  A
+chunk's packed rows are the integer product of its 0/1 vectors with a
+weight table built once per block from the gather table, looked up eight
+coordinates at a time (Four Russians), so no n x n stack is built and no
+float is used (see _word_tables).  Row reduction is XOR elimination across
+the stack (_xor_rref), and a narrower word halves or quarters the bytes
+each step touches.  Its reduced words, indexed by pivot column, are the
+canonical key: the nonzero ones are the rank, and read in order they
+descend, which is echelon order.  Only the distinct ideals are unpacked to
+the uint8 rows the other fields give.
 
 The walk runs once per connected block of the composition table.  A
 union-find over the entries below n of the left gather table, connectivity
@@ -234,10 +239,12 @@ def _digits(indices: np.ndarray, q: int, n: int) -> np.ndarray:
 
 
 def _chunk_rows_for(q: int, n: int) -> int:
-    """Lines per chunk, for about 2 MiB of working arrays: a GF(2) line
-    takes about 20 n bytes (its n packed words, the elimination's work
-    array and temporaries), a GF(p) line about 5 n**2 (its n x n stack and
-    a work array twice that size)."""
+    """Lines per chunk, for at most about 2 MiB of working arrays: a GF(2)
+    line takes about 5 n bytes per byte of its word (its n packed words,
+    the elimination's work array and temporaries), so at most 20 n bytes
+    with uint32 words, and a GF(p) line about 5 n**2 (its n x n stack and a
+    work array twice that size).  Narrower GF(2) words keep the uint32
+    figure: larger chunks were measured to walk slower, not faster."""
     line_bytes = 20 * n if q == 2 else 5 * n * n
     return max(256, (1 << 21) // line_bytes)
 
@@ -391,43 +398,55 @@ def _in_span(vectors: np.ndarray, rows: np.ndarray, p: int) -> bool:
     return bool(_members(vectors, rows[None], p).all())
 
 
-# Width of the packed GF(2) rows: coordinate k of a row is bit 31 - k.
+# The widest packed GF(2) word; see _word_dtype.
 _WORD_BITS = 32
+
+
+def _word_dtype(n: int) -> type:
+    """The narrowest unsigned word holding a GF(2) row of n coordinates:
+    uint8 up to 8, uint16 up to 16, uint32 up to _WORD_BITS.  Coordinate k
+    of a row is bit bits - 1 - k of its word (bits the word's width)."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n <= np.iinfo(dtype).bits:
+            return dtype
+    raise OverflowError(f"GF(2) rows of width {n} do not fit {_WORD_BITS}-bit words")
 
 
 def _word_tables(table: np.ndarray) -> np.ndarray:
     """Four Russians tables of the packed GF(2) products through a gather
-    table (see _products): words[i, g] packs 1_g * a_i (or a_i * 1_g), and
-    coordinate k of a row is bit 31 - k.
+    table (see _products): words[i, g] packs 1_g * a_i (or a_i * 1_g) in
+    the _word_dtype of the table's n coordinates, coordinate k at bit
+    bits - 1 - k.
 
-    The weight table W[j, g] = 2**(31 - k) wherever table[g, k] = j < n,
-    else 0, packs the products: words = a @ W for 0/1 vectors a.  Each j
+    The weight table W[j, g] = 2**(bits - 1 - k) wherever table[g, k] = j <
+    n, else 0, packs the products: words = a @ W for 0/1 vectors a.  Each j
     lands on at most one k for a given g, so the integer sum adds distinct
-    powers of two, carries nothing and is exact in uint32.  The product is
+    powers of two, carries nothing and is exact in the word.  The product is
     evaluated eight coordinates at a time: tables[t, v] is the sum of the
     rows of W at the coordinates that byte t of a's index (see _lines)
     holds, selected by the bits of v, so _packed_products takes one lookup
     per byte in place of n multiply-adds per word.
     """
     n = table.shape[0]
-    if n > _WORD_BITS:
-        raise OverflowError(f"GF(2) rows of width {n} do not fit {_WORD_BITS}-bit words")
-    weights = np.zeros((n + 1, n), dtype=np.uint32)
+    dtype = _word_dtype(n)
+    bits = np.iinfo(dtype).bits
+    weights = np.zeros((n + 1, n), dtype=dtype)
     g, k = np.indices(table.shape)
     # Row n gathers the zero column's entries and is dropped.
-    weights[table, g] = np.uint32(1) << (_WORD_BITS - 1 - k).astype(np.uint32)
+    weights[table, g] = dtype(1) << (bits - 1 - k).astype(dtype)
     # Bit i of an index is coordinate n - 1 - i: reverse W's rows, pad them
     # to whole bytes with zero rows.
     byte_count = -(-n // 8)
-    by_bit = np.zeros((8 * byte_count, n), dtype=np.uint32)
+    by_bit = np.zeros((8 * byte_count, n), dtype=dtype)
     by_bit[:n] = weights[n - 1 :: -1]
-    bits = (np.arange(256, dtype=np.uint32)[:, None] >> np.arange(8, dtype=np.uint32)) & 1
-    return np.stack([bits @ by_bit[8 * t : 8 * t + 8] for t in range(byte_count)])
+    selected = (np.arange(256, dtype=dtype)[:, None] >> np.arange(8, dtype=dtype)) & dtype(1)
+    return np.stack([selected @ by_bit[8 * t : 8 * t + 8] for t in range(byte_count)])
 
 
 def _packed_products(indices: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """words[i, g]: the packed product of g with the vector whose binary
-    digits indices[i] is, by one lookup per byte in the _word_tables."""
+    digits indices[i] is, by one lookup per byte in the _word_tables, in
+    their word type."""
     words = np.take(tables[0], indices & 255, axis=0)
     for t in range(1, tables.shape[0]):
         words |= np.take(tables[t], (indices >> (8 * t)) & 255, axis=0)
@@ -435,43 +454,102 @@ def _packed_products(indices: np.ndarray, tables: np.ndarray) -> np.ndarray:
 
 
 def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """The 0/1 coordinates of packed GF(2) rows, in uint8 (last axis n)."""
-    shifts = np.arange(_WORD_BITS - 1, _WORD_BITS - 1 - n, -1, dtype=np.uint32)
-    return ((words[..., None] >> shifts) & 1).astype(np.uint8)
+    """The 0/1 coordinates of packed GF(2) rows, in uint8 (last axis n);
+    coordinate k is bit bits - 1 - k of the words' type."""
+    bits = np.iinfo(words.dtype).bits
+    shifts = np.arange(bits - 1, bits - 1 - n, -1).astype(words.dtype)
+    return ((words[..., None] >> shifts) & words.dtype.type(1)).astype(np.uint8)
 
 
 def _xor_rref(words: np.ndarray, cols: int) -> np.ndarray:
     """Reduced row echelon form of a stack of GF(2) matrices whose rows are
     packed words with cols coordinates (see _word_tables).
 
-    Returns pivots of shape (count, cols): pivots[i, c] is the word of the
-    reduced echelon row of words[i] whose pivot is column c, or 0 when c is
-    not a pivot column.  This layout is canonical, its nonzero words are
-    the rank, and read in order they are the echelon rows: a row's pivot is
-    its leading bit, so they descend.
+    Returns pivots of shape (count, cols) in the words' type: pivots[i, c]
+    is the word of the reduced echelon row of words[i] whose pivot is
+    column c, or 0 when c is not a pivot column.  This layout is canonical,
+    its nonzero words are the rank, and read in order they are the echelon
+    rows: a row's pivot is its leading bit, so they descend.
 
-    Column c eliminates by XOR.  Rows that have not become pivots only ever
-    take XORs of earlier pivots, which were such rows, so before step c
-    they are zero left of c: as integers they are below 2**(32 - c), and
-    those with bit c set are the largest.  The step takes their maximum as
-    the pivot when it has bit c, and a zero pivot when no row has it.  The
-    pivot's leading bit is c, so row ^ pivot first differs from row at bit
-    c, and min(row, row ^ pivot) XORs the pivot into exactly the rows with
-    bit c: the other rows, the chosen one (which becomes zero) and the
-    earlier pivots, so the result is reduced.
+    Column c, bit bits - 1 - c of a word of bits bits, eliminates by XOR.
+    Rows that have not become pivots only ever take XORs of earlier pivots,
+    which were such rows, so before step c they are zero left of c: as
+    integers they are below 2**(bits - c), and those with bit c set are the
+    largest.  The step takes their maximum as the pivot when it has bit c,
+    and a zero pivot when no row has it.  The pivot's leading bit is c, so
+    row ^ pivot first differs from row at bit c, and min(row, row ^ pivot)
+    XORs the pivot into exactly the rows with bit c: the other rows, the
+    chosen one (which becomes zero) and the earlier pivots, so the result is
+    reduced.
     """
     count, rows = words.shape
+    word = words.dtype.type
+    bits = np.iinfo(words.dtype).bits
     # Row r of matrix i sits at [r, i]: every step runs across the stack.
-    work = np.zeros((cols + rows, count), dtype=np.uint32)
+    work = np.zeros((cols + rows, count), dtype=words.dtype)
     pivots, free = work[:cols], work[cols:]
     free[...] = words.T
     for col in range(cols):
         top = free.max(axis=0)
-        pivot = top * (top >> np.uint32(_WORD_BITS - 1 - col))
+        pivot = top * (top >> word(bits - 1 - col))
         for part in (pivots[:col], free):
             np.minimum(part, part ^ pivot, out=part)
         pivots[col] = pivot
     return np.ascontiguousarray(pivots.T)
+
+
+# SplitMix64's increment and output mix (Steele, Lea and Flood, 2014).
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+@lru_cache(maxsize=None)
+def _fingerprint_multipliers(words: int) -> np.ndarray:
+    """Odd 64-bit multipliers, one per uint64 word of a dedupe key (see
+    _first_occurrences): the outputs of SplitMix64 from seed 0, made odd.
+
+    They come from Python integers: numpy.random is not otherwise loaded
+    and importing it costs several MiB.  A plain Weyl sequence gamma * (2i
+    + 1) would not do: its fingerprint is gamma times sum (2i + 1) w_i, so
+    keys whose words differ by (3, -1) would all collide.
+    """
+    values = []
+    z = 0
+    for _ in range(words):
+        z = (z + _GOLDEN_GAMMA) & _MASK64
+        x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+        values.append(x ^ (x >> 31) | 1)
+    multipliers = np.array(values, dtype=np.uint64)
+    # Every caller shares it.
+    multipliers.flags.writeable = False
+    return multipliers
+
+
+def _first_occurrences(flat: np.ndarray) -> np.ndarray:
+    """The index of the first occurrence of each distinct row of flat, a
+    C-contiguous unsigned 2-d array, in increasing order.
+
+    Each row's bytes, padded with zeros to whole uint64 words, fold into
+    one uint64 fingerprint by one product with the _fingerprint_multipliers
+    (mod 2**64).  np.unique keeps the first index of each fingerprint, and
+    the grouping is exact when every row equals the first row of its
+    fingerprint; if two distinct rows share one, the chunk falls back to
+    np.unique over the rows' bytes as void keys.  Either way the first
+    occurrences are those of the distinct rows.
+    """
+    count, width = flat.shape[0], flat.shape[1] * flat.itemsize
+    raw = flat.view(np.uint8)
+    if width % 8:
+        raw = np.zeros((count, width + -width % 8), dtype=np.uint8)
+        raw[:, :width] = flat.view(np.uint8)
+    words = raw.view(np.uint64)
+    fingerprints = words @ _fingerprint_multipliers(words.shape[1])
+    _, first, inverse = np.unique(fingerprints, return_index=True, return_inverse=True)
+    if not np.array_equal(words, words[first[inverse]]):
+        keys = raw.view(np.dtype((np.void, raw.shape[1])))[:, 0]
+        _, first = np.unique(keys, return_index=True)
+    return np.sort(first)
 
 
 def _enumerate_ideals(p: int, block: _Block, side: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -492,12 +570,9 @@ def _enumerate_ideals(p: int, block: _Block, side: str) -> list[tuple[np.ndarray
             reduced = _batched_rref(_products(_digits(indices, p, n), table, p), p)
         else:
             reduced = _xor_rref(_packed_products(indices, words), n)
-        # np.unique keeps the first occurrence of each key.
         flat = reduced.reshape(indices.shape[0], -1)
-        keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0]
-        _, first_indices = np.unique(keys, return_index=True)
-        for i in np.sort(first_indices):
-            key = keys[i].tobytes()
+        for i in _first_occurrences(flat):
+            key = flat[i].tobytes()
             if key not in seen:
                 if words is None:
                     rows = reduced[i][reduced[i].any(axis=1)]

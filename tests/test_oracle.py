@@ -1,6 +1,10 @@
 import ast
 import gc
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 import weakref
 from math import isqrt
 from pathlib import Path
@@ -37,6 +41,7 @@ from steinberg.oracle import (
     _products,
     _tables,
     _unpack_words,
+    _word_dtype,
     _word_tables,
     _xor_rref,
     oracle_is_semiprime,
@@ -402,17 +407,21 @@ def _delayed_kernel(mats, p, dtype):
     return _echelon_on_top(pivots)
 
 
-def _pack(bits):
-    """Rows of 0/1 entries as words, coordinate k at bit 31 - k."""
-    shifts = (_WORD_BITS - 1 - np.arange(bits.shape[-1])).astype(np.uint64)
-    return (bits.astype(np.uint64) @ (np.uint64(1) << shifts)).astype(np.uint32)
+def _pack(bits, dtype):
+    """Rows of 0/1 entries as words of the given type, coordinate k at bit
+    bits - 1 - k."""
+    width = np.iinfo(dtype).bits
+    shifts = (width - 1 - np.arange(bits.shape[-1])).astype(np.uint64)
+    return (bits.astype(np.uint64) @ (np.uint64(1) << shifts)).astype(dtype)
 
 
 def _word_kernel(mats, p, dtype):
-    """_xor_rref on the rows mod 2 packed into words, as (ranks, reduced)."""
+    """_xor_rref on the rows mod 2 packed into the narrowest words, as
+    (ranks, reduced)."""
     assert p == 2
     cols = mats.shape[2]
-    pivots = _xor_rref(_pack(mats % 2), cols)
+    assert _word_dtype(cols) is dtype
+    pivots = _xor_rref(_pack(mats % 2, dtype), cols)
     assert pivots.dtype == dtype and pivots.shape == (mats.shape[0], cols)
     return _echelon_on_top(_unpack_words(pivots, cols))
 
@@ -435,9 +444,19 @@ def _word_kernel(mats, p, dtype):
         ]
     ]
     + [
-        # Width 20 is the widest GF(2) block ENUM_CAP admits, 32 the word.
-        pytest.param(_word_kernel, 2, rows, cols, np.uint32, id=f"words-{rows}-{cols}")
-        for rows, cols in [(4, 1), (9, 16), (20, 20), (40, 32)]
+        # Each word type at its narrowest and widest width; 20 is the widest
+        # GF(2) block ENUM_CAP admits, 32 the widest word.
+        pytest.param(_word_kernel, 2, rows, cols, dtype, id=f"words-{rows}-{cols}")
+        for rows, cols, dtype in [
+            (4, 1, np.uint8),
+            (5, 7, np.uint8),
+            (8, 8, np.uint8),
+            (12, 9, np.uint16),
+            (9, 16, np.uint16),
+            (17, 17, np.uint32),
+            (20, 20, np.uint32),
+            (40, 32, np.uint32),
+        ]
     ],
 )
 def test_batched_rref_matches_the_reference_echelon_form(kernel, p, rows, cols, dtype):
@@ -458,16 +477,25 @@ def test_batched_rref_matches_the_reference_echelon_form(kernel, p, rows, cols, 
 
 def test_the_widest_gf2_block_fits_the_packed_word():
     # The cap admits GF(2) blocks up to this width; a wider cap must widen
-    # the word, and the word tables refuse what does not fit.
+    # the word, and the word tables refuse what does not fit.  Each width
+    # packs into the narrowest word: widths 8 and 16 fill one, 9 and 17
+    # spill into the next.
     widest = ENUM_CAP.bit_length() - 1
     assert widest <= _WORD_BITS
-    algebra = SteinbergAlgebra(one_object_groupoid(cyclic_group(widest)), PrimeField(2))
-    (block,) = _tables(algebra).blocks
-    indices = np.array([1, 2**widest - 1, 2 ** (widest - 1) + 5, 0b1011 << 9], dtype=np.int64)
-    for table in (block.left, block.right):
-        words = _packed_products(indices, _word_tables(table))
-        stack = _products(_digits(indices, 2, widest), table, 2)
-        assert (_unpack_words(words, widest) == stack.transpose(2, 0, 1)).all()
+    widths = [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32), (widest, np.uint32)]
+    for n, dtype in widths:
+        algebra = SteinbergAlgebra(one_object_groupoid(cyclic_group(n)), PrimeField(2))
+        (block,) = _tables(algebra).blocks
+        indices = np.array(
+            [1, 2**n - 1, 2 ** (n - 1) + 5, 0b1011 << (n // 2 - 1), 2**n - 2], dtype=np.int64
+        )
+        for table in (block.left, block.right):
+            tables = _word_tables(table)
+            assert tables.dtype == dtype
+            words = _packed_products(indices, tables)
+            assert words.dtype == dtype
+            stack = _products(_digits(indices, 2, n), table, 2)
+            assert (_unpack_words(words, n) == stack.transpose(2, 0, 1)).all()
     too_wide = np.full((_WORD_BITS + 1, _WORD_BITS + 1), _WORD_BITS + 1)
     with pytest.raises(OverflowError):
         _word_tables(too_wide)
@@ -559,47 +587,126 @@ def _interleaved_union():
     return reordered(g, [0, 4, 1, 6, 2, 5, 3])
 
 
+def _walk_summary(algebra):
+    """The minimal left ideals with their first generators, and the
+    semiprime witness, as JSON objects."""
+    witness = oracle_is_semiprime(algebra).witness
+    return (
+        [
+            ([element_to_obj(b) for b in ideal.basis], element_to_obj(ideal.generators[0]))
+            for ideal in oracle_minimal_ideals(algebra)
+        ],
+        None if witness is None else element_to_obj(witness),
+    )
+
+
+def _walk_algebras():
+    """Fresh algebras over GF(2) and GF(3) whose walks cross chunk and lead
+    borders; each block keeps the ideals it walked, so each pass needs new
+    ones."""
+    return [
+        SteinbergAlgebra(pair_groupoid(["a", "b", "c"]), PrimeField(2)),
+        SteinbergAlgebra(
+            disjoint_union(pair_groupoid(["a", "b"]), trivial_groupoid("z")), PrimeField(3)
+        ),
+        SteinbergAlgebra(one_object_groupoid(cyclic_group(3)), PrimeField(3)),
+        # Not semiprime over GF(2).  The witness is the 32nd line led by
+        # its coordinate in the S3 block, so the GF(2) walk reaches it
+        # across ten chunk borders.
+        SteinbergAlgebra(
+            disjoint_union(pair_groupoid(["a", "b"]), one_object_groupoid(symmetric_group_3())),
+            PrimeField(2),
+        ),
+        # One block per coordinate: semiprime over GF(3); over GF(2) the
+        # Z2 block has a witness.
+        SteinbergAlgebra(_interleaved_union(), PrimeField(3)),
+        SteinbergAlgebra(_interleaved_union(), PrimeField(2)),
+    ]
+
+
 # Chunks of 1, 3 and 7 lines end inside a lead; 7 and 64 span several leads.
 @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 64])
 def test_results_do_not_depend_on_the_chunk_size(monkeypatch, chunk_rows):
-    def summary(algebra):
-        witness = oracle_is_semiprime(algebra).witness
-        return (
-            [
-                ([element_to_obj(b) for b in ideal.basis], element_to_obj(ideal.generators[0]))
-                for ideal in oracle_minimal_ideals(algebra)
-            ],
-            None if witness is None else element_to_obj(witness),
-        )
-
-    def algebras():
-        # Fresh algebras for each pass: each block keeps the ideals it walked.
-        return [
-            SteinbergAlgebra(pair_groupoid(["a", "b", "c"]), PrimeField(2)),
-            SteinbergAlgebra(
-                disjoint_union(pair_groupoid(["a", "b"]), trivial_groupoid("z")), PrimeField(3)
-            ),
-            SteinbergAlgebra(one_object_groupoid(cyclic_group(3)), PrimeField(3)),
-            # Not semiprime over GF(2).  The witness is the 32nd line led by
-            # its coordinate in the S3 block, so the GF(2) walk reaches it
-            # across ten chunk borders.
-            SteinbergAlgebra(
-                disjoint_union(pair_groupoid(["a", "b"]), one_object_groupoid(symmetric_group_3())),
-                PrimeField(2),
-            ),
-            # One block per coordinate: semiprime over GF(3); over GF(2) the
-            # Z2 block has a witness.
-            SteinbergAlgebra(_interleaved_union(), PrimeField(3)),
-            SteinbergAlgebra(_interleaved_union(), PrimeField(2)),
-        ]
-
-    first = algebras()
+    first = _walk_algebras()
     owner = {int(i): b for b, block in enumerate(_tables(first[-1]).blocks) for i in block.index}
     assert all(owner[i] != owner[i + 1] for i in range(len(owner) - 1))
-    whole = [summary(algebra) for algebra in first]
+    whole = [_walk_summary(algebra) for algebra in first]
     assert [w is None for _, w in whole] == [True, True, False, False, True, False]
     monkeypatch.setattr(oracle, "_chunk_rows_for", lambda q, n: chunk_rows)
-    assert [summary(algebra) for algebra in algebras()] == whole
+    assert [_walk_summary(algebra) for algebra in _walk_algebras()] == whole
+
+
+def test_colliding_fingerprints_fall_back_to_exact_keys(monkeypatch):
+    # With every multiplier zero all forms of a chunk share one
+    # fingerprint, so every chunk with two distinct forms runs on the exact
+    # void keys; a chunk that kept one form per fingerprint would lose
+    # ideals.
+    whole = [_walk_summary(algebra) for algebra in _walk_algebras()]
+    monkeypatch.setattr(oracle, "_fingerprint_multipliers", lambda words: np.zeros(words, np.uint64))
+    assert [_walk_summary(algebra) for algebra in _walk_algebras()] == whole
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("width", [1, 3, 8, 9, 20])
+@pytest.mark.parametrize("colliding", [False, True])
+def test_first_occurrences_match_a_reference(monkeypatch, dtype, width, colliding):
+    if colliding:
+        monkeypatch.setattr(oracle, "_fingerprint_multipliers", lambda words: np.zeros(words, np.uint64))
+    gen = np.random.default_rng(width)
+    # Few distinct rows, many repeats, and rows that differ only in their
+    # last entry or only in a high bit.
+    distinct = gen.integers(0, 3, size=(7, width)).astype(dtype)
+    distinct[1] = distinct[0]
+    distinct[1, -1] ^= 1
+    distinct[2] = distinct[0]
+    distinct[2, 0] ^= dtype(1) << dtype(np.iinfo(dtype).bits - 1)
+    flat = distinct[gen.integers(0, 7, size=300)]
+    first = {}
+    for i, row in enumerate(flat):
+        first.setdefault(row.tobytes(), i)
+    assert oracle._first_occurrences(flat).tolist() == sorted(first.values())
+
+
+def test_the_walk_stays_within_its_memory_budget():
+    # The transient peak of minimal ideals, socle and semiprime test, from
+    # a fresh algebra, after a first walk has loaded what numpy loads once
+    # (np.unique imports numpy.ma, about 1 MiB).  Each chunk budgets about
+    # 2 MiB of working arrays (_chunk_rows_for).
+    def walk(g, p):
+        algebra = SteinbergAlgebra(g, PrimeField(p))
+        oracle_socle(algebra, minimal=oracle_minimal_ideals(algebra))
+        oracle_is_semiprime(algebra)
+
+    walk(pair_groupoid(["a", "b"]), 3)
+    for g, p in ((pair_groupoid(list("abcd")), 2), (pair_groupoid(list("abc")), 3)):
+        tracemalloc.start()
+        try:
+            walk(g, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20, (len(g.elements), p, peak / 2**20)
+
+
+def test_the_oracle_does_not_load_numpy_random():
+    # numpy.random costs several MiB of resident memory, and nothing in the
+    # oracle needs it: the fingerprint multipliers come from Python ints.
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from steinberg.algebra import SteinbergAlgebra\n"
+        "from steinberg.builders import pair_groupoid\n"
+        "from steinberg.fields import PrimeField\n"
+        "import steinberg.oracle as oracle\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "oracle.oracle_is_semiprime(SteinbergAlgebra(pair_groupoid(['a', 'b']), PrimeField(3)))\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=False
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_oracle_stays_independent_of_the_engine():
