@@ -87,20 +87,9 @@ def symmetric_group_3() -> GroupTable:
 
 
 def dihedral_group_4() -> GroupTable:
-    r = (1, 2, 3, 0)
-    f = (0, 3, 2, 1)
-    elems = {tuple(range(4))}
-    frontier = [tuple(range(4)), r, f]
-    while frontier:
-        p = frontier.pop()
-        if p in elems and p != tuple(range(4)):
-            continue
-        elems.add(p)
-        for q in (r, f):
-            pq = tuple(p[q[i]] for i in range(4))
-            if pq not in elems:
-                frontier.append(pq)
-    return _permutation_group("D4", sorted(elems))
+    rotations = [tuple((i + k) % 4 for i in range(4)) for k in range(4)]
+    flip = (0, 3, 2, 1)
+    return _permutation_group("D4", rotations + [tuple(r[j] for j in flip) for r in rotations])
 
 
 def quaternion_group() -> GroupTable:
@@ -237,14 +226,12 @@ def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
 # -- enumeration and sampling ------------------------------------------------
 
 
-def _component_catalogue(max_elements: int, principal_only: bool):
+def _component_catalogue(max_elements: int):
     catalogue = []
     k = 1
     while k * k <= max_elements:
         max_group = max_elements // (k * k)
         for order in range(1, min(max_group, 8) + 1):
-            if principal_only and order > 1:
-                continue
             for group in groups_of_order(order):
                 catalogue.append((k, group))
         k += 1
@@ -252,13 +239,13 @@ def _component_catalogue(max_elements: int, principal_only: bool):
     return catalogue
 
 
-def all_groupoids_up_to(max_elements: int, principal_only: bool = False) -> list[FiniteGroupoid]:
+def all_groupoids_up_to(max_elements: int) -> list[FiniteGroupoid]:
     """Every isomorphism class of groupoids with at most max_elements elements.
 
     Complete because the component catalogue covers all groups of order <= 8
     and a component with k >= 2 points already needs k*k*|group| elements.
     """
-    catalogue = _component_catalogue(max_elements, principal_only)
+    catalogue = _component_catalogue(max_elements)
     results: list[FiniteGroupoid] = []
 
     def build(multiset: list[tuple[int, GroupTable]]) -> FiniteGroupoid:

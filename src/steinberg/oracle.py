@@ -64,11 +64,11 @@ reduced echelon matrix is still reduced echelon and canonical, and the
 first generator of each ideal and the sort by dimension and canonical bytes
 are unchanged.
 
-The full gather tables, the blocks with their restricted tables and, over
-GF(2), their word tables are built once per algebra (see _tables) and
-shared by the minimal ideals and the socle's closure check.  Each block
-keeps the cyclic ideals of each side once walked, so the semiprime test
-reads the left ones the minimal ideals listed.
+The full gather tables and the blocks with their restricted tables are
+built once per algebra (see _tables) and shared by the minimal ideals and
+the socle's closure check.  Each block keeps the cyclic ideals of each side
+once walked, so a side's GF(2) word tables are built once, and the
+semiprime test reads the left ones the minimal ideals listed.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ class _Block:
     index: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    # The _word_tables and the _enumerate_ideals of each side, built on first use.
-    words: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    # The _enumerate_ideals of each side, walked on first use.
     ideals: dict[str, list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=dict, repr=False)
 
     @property
@@ -125,11 +124,6 @@ class _Block:
 
     def gather(self, side: str) -> np.ndarray:
         return self.left if side == "left" else self.right
-
-    def word_tables(self, side: str) -> np.ndarray:
-        if side not in self.words:
-            self.words[side] = _word_tables(self.gather(side))
-        return self.words[side]
 
     def embed(self, vectors: np.ndarray, n: int) -> np.ndarray:
         """Block-coordinate vectors (last axis) in the n full coordinates."""
@@ -265,32 +259,17 @@ def _accumulator_dtype(p: int, cols: int) -> type:
 
 def _inverses_mod(values: np.ndarray, p: int) -> np.ndarray:
     """values ** (p - 2) mod p elementwise, the inverses of nonzero reduced
-    values, by square and multiply in their own type, which must hold
-    (p - 1)**2.  Zero maps to zero for p > 2."""
+    values, by square and multiply and _reduce in their own unsigned type,
+    which must hold (p - 1)**2.  Zero maps to zero, or to one for p = 2."""
     result = np.ones_like(values)
     base = values.copy()
     exponent = p - 2
     while exponent:
         if exponent & 1:
-            result = result * base % p
-        base = base * base % p
+            result = _reduce(result * base, p)
+        base = _reduce(base * base, p)
         exponent >>= 1
     return result
-
-
-# Primes below this get a table of all p inverses, built once per prime;
-# larger ones square and multiply, since a table would cost O(p).
-_INVERSE_TABLE_PRIMES = 256
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(p: int) -> np.ndarray:
-    """table[v] is the inverse of v mod p, and table[0] is 0."""
-    table = _inverses_mod(np.arange(p, dtype=np.uint32), p).astype(np.uint8)
-    table[0] = 0
-    # Every caller shares it.
-    table.flags.writeable = False
-    return table
 
 
 def _reduce(values: np.ndarray, p: int) -> np.ndarray:
@@ -322,12 +301,12 @@ def _batched_rref(stack: np.ndarray, p: int) -> np.ndarray:
     are one slice, and the slots read backwards are the pivots by column.
     A step takes the first row with a nonzero entry in its column, found by
     a max-reduce across the rows; a matrix with none takes the zero row
-    below its rows, and eliminating with a zero pivot changes nothing (the
-    inverse of zero is taken to be zero).  Reduction mod p is delayed: each
-    column step reduces only its column and the pivot row, then adds
-    (p - entry) * pivot_row to every row it touches without reducing; the
-    slots are reduced once at the end, and the other rows are then zero mod
-    p.
+    below its rows, and eliminating with a zero pivot changes nothing (it
+    stays zero whatever _inverses_mod gives its zero lead, one for p = 2).
+    Reduction mod p is delayed: each column step reduces only its column
+    and the pivot row, then adds (p - entry) * pivot_row to every row it
+    touches without reducing; the slots are reduced once at the end, and
+    the other rows are then zero mod p.
     """
     rows, cols, count = stack.shape
     work = np.zeros((cols + rows + 1, cols, count), dtype=_accumulator_dtype(p, cols))
@@ -343,7 +322,6 @@ def _batched_rref(stack: np.ndarray, p: int) -> np.ndarray:
     # The largest weight of a row with a nonzero entry names the first one;
     # weight 0 names the zero row.
     weights = np.arange(rows, -1, -1, dtype=np.min_scalar_type(rows))[:, None]
-    table = _inverse_table(p) if p < _INVERSE_TABLE_PRIMES else None
     for col in range(cols):
         live = work[cols - col :, col:]
         column = _reduce(live[:, 0], p)
@@ -351,7 +329,7 @@ def _batched_rref(stack: np.ndarray, p: int) -> np.ndarray:
         first = rows - (nonzero[col:] * weights).max(axis=0).astype(np.intp)
         pivot = _reduce(flat[(first * (cols * count) + matrices) + offsets[col:]], p)
         lead = pivot[0]
-        pivot *= table[lead] if table is not None else _inverses_mod(lead, p)
+        pivot *= _inverses_mod(lead, p)
         _reduce(pivot, p)
         # Columns left of col are zero in the pivot row.
         live += ((p - column) * nonzero)[:, None, :] * pivot[None, :, :]
@@ -562,7 +540,7 @@ def _enumerate_ideals(p: int, block: _Block, side: str) -> list[tuple[np.ndarray
         return block.ideals[side]
     n = block.size
     table = block.gather(side)
-    words = block.word_tables(side) if p == 2 else None
+    words = _word_tables(table) if p == 2 else None
     seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     for indices in _lines(p, n):
         # Reduced echelon forms indexed by pivot column are canonical keys.

@@ -82,12 +82,6 @@ class LeftIdeal:
     def basis(self) -> tuple[AlgebraElement, ...]:
         return tuple(map(self.algebra.from_vector, self.rows))
 
-    def basis_vectors(self) -> list[list]:
-        return [list(row) for row in self.rows]
-
-    def canonical_matrix(self) -> tuple[tuple, ...]:
-        return self.rows
-
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         """Each canonical row's pivot: the index of its first nonzero entry."""
@@ -100,7 +94,7 @@ class LeftIdeal:
     def _membership(self) -> EchelonBasis:
         # The canonical rows are already reduced echelon: seed them as they are.
         basis = EchelonBasis(self.algebra.field, self.algebra.dim)
-        basis.rows = self.basis_vectors()
+        basis.rows = list(self.rows)
         basis.pivots = list(self.pivots)
         return basis
 
@@ -327,14 +321,20 @@ def is_minimal_left_ideal(
       1_x I (subject to the enumeration cap) is spun by the |xGx| isotropy
       translates.  Over the rationals this case raises ValueError: it needs
       a certificate.
+
+    A certificate over another field or groupoid raises ValueError, as does
+    one whose generator lies outside I.
     """
     algebra = ideal.algebra
     field, gpd, n = algebra.field, algebra.groupoid, algebra.dim
     dim = ideal.dimension
     if dim == 0:
         raise ValueError("the zero ideal is not eligible for the minimality test")
-    if certificate is not None and not ideal.contains(certificate.generator):
-        raise ValueError("the certificate generator does not lie in the ideal")
+    if certificate is not None:
+        # A foreign generator's coefficients would pass the membership test.
+        algebra.zero()._check_compatible(certificate.generator)
+        if not ideal.contains(certificate.generator):
+            raise ValueError("the certificate generator does not lie in the ideal")
 
     def answer(minimal: bool, method: str, witness: list | None = None) -> MinimalityReport:
         return MinimalityReport(
@@ -444,11 +444,11 @@ def homogeneous_component(algebra: SteinbergAlgebra, x: str) -> ComponentDecompo
 
     joint = EchelonBasis(algebra.field, algebra.dim)
     for summand in summands:
-        added = joint.extend(summand.basis_vectors())
+        added = joint.extend(summand.rows)
         if added != summand.dimension:
             raise RuntimeError(f"summands of the component at {x!r} are not independent")
     ideal = two_sided_ideal(algebra, [algebra.basis_element(x)])
-    if joint.canonical() != ideal.canonical_matrix():
+    if joint.canonical() != ideal.rows:
         raise RuntimeError(f"component at {x!r} does not exhaust the two-sided ideal")
     return ComponentDecomposition(orbit=orbit, ideal=ideal, summands=summands)
 

@@ -89,7 +89,7 @@ def exhaustive_minimality(ideal: LeftIdeal, cap: int = ENUM_CAP) -> MinimalityRe
     _check_cap(field.p, dim, cap)
     return _first_non_generator(
         algebra,
-        _nonzero_combinations(field, ideal.basis_vectors()),
+        _nonzero_combinations(field, ideal.rows),
         lambda vec: [algebra.left_action(g, vec) for g in range(n)],
         dim,
         f"exhaustive over GF({field.p})",

@@ -34,6 +34,7 @@ from steinberg.socle import (
     ABSOLUTE_ZERO_DIVISOR,
     DIVISION_IDEMPOTENT,
     LPViolationError,
+    check_condition_LP,
     homogeneous_component,
     left_ideal,
     minimal_ideal_generator,
@@ -66,7 +67,7 @@ def spans_match(field, rows_a, rows_b, width):
 def suite():
     """All principal groupoids with up to 6 elements plus 25 random principal
     groupoids with up to 10 elements."""
-    zoo = all_groupoids_up_to(6, principal_only=True)
+    zoo = [g for g in all_groupoids_up_to(6) if check_condition_LP(g).holds]
     rng = random.Random(101)
     randoms = [random_groupoid(rng, 10, principal=True) for _ in range(25)]
     return zoo + randoms
@@ -180,7 +181,7 @@ def test_criterion_05_components_are_direct_sums(suite):
                 summands = decomposition.summands
                 total = rref(
                     field,
-                    [v for s in summands for v in s.basis_vectors()],
+                    [v for s in summands for v in s.rows],
                     algebra.dim,
                 )
                 # pairwise zero intersections, by dimension additivity
@@ -189,12 +190,12 @@ def test_criterion_05_components_are_direct_sums(suite):
                     for v in summands[i + 1 :]:
                         pair = rref(
                             field,
-                            u.basis_vectors() + v.basis_vectors(),
+                            u.rows + v.rows,
                             algebra.dim,
                         )
                         assert pair.dim == u.dimension + v.dimension
                 # and the sum is the whole two-sided ideal (1_x)
-                assert total.canonical() == decomposition.ideal.canonical_matrix()
+                assert total.canonical() == decomposition.ideal.rows
                 checked += 1
     print(f"[criterion 5] PASS: direct sum decomposition on {checked} components")
 
@@ -280,7 +281,7 @@ def materialized_criteria_3_to_5(gpd, n):
         decomposition = homogeneous_component(algebra, gpd.units()[0])
         total = rref(
             field,
-            [v for s in decomposition.summands for v in s.basis_vectors()],
+            [v for s in decomposition.summands for v in s.rows],
             algebra.dim,
         )
         assert total.dim == sum(s.dimension for s in decomposition.summands)

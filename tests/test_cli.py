@@ -308,22 +308,25 @@ def test_oracle_cap_counts_the_whole_algebra(run, tmp_path):
 def test_oracle_converts_the_gather_tables_once(run, tmp_path, monkeypatch, field):
     # The minimal ideals, the socle's closure check and the semiprime test
     # share one set of tables per algebra, and the semiprime test reads the
-    # cyclic ideals the minimal ideals walked: one walk per block.  Over
-    # GF(2) the Z2 block is not semiprime, over GF(3) every block is.
+    # cyclic ideals the minimal ideals walked: one walk per block, and over
+    # GF(2) one set of word tables per block.  Over GF(2) the Z2 block is
+    # not semiprime, over GF(3) every block is.
     g = disjoint_union(
         pair_groupoid(["a", "b"]), one_object_groupoid(cyclic_group(2)), trivial_groupoid("pt")
     )
     path = tmp_path / "pair2+z2+pt.json"
     path.write_text(json.dumps(to_json_obj(g)))
-    calls, walks = [], []
-    gather_tables, lines = oracle._gather_tables, oracle._lines
+    calls, walks, words = [], [], []
+    gather_tables, lines, word_tables = oracle._gather_tables, oracle._lines, oracle._word_tables
     monkeypatch.setattr(oracle, "_gather_tables", lambda a: calls.append(a) or gather_tables(a))
     monkeypatch.setattr(oracle, "_lines", lambda q, n: walks.append(n) or lines(q, n))
+    monkeypatch.setattr(oracle, "_word_tables", lambda t: words.append(t) or word_tables(t))
     code, out, _ = run("oracle", str(path), "--field", field, "--semiprime")
     assert code == 0
     assert json.loads(out)["semiprime"] == (field == "f3")
     assert len(calls) == 1
     assert sorted(walks) == sorted(block.size for block in oracle._tables(calls[0]).blocks)
+    assert len(words) == (len(walks) if field == "f2" else 0)
 
 
 def test_oracle_failed_closure_check_exits_70(run, files, monkeypatch):

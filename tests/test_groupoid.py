@@ -9,6 +9,7 @@ from steinberg import builders, groupoid
 from steinberg.builders import (
     all_groupoids_up_to,
     cyclic_group,
+    dihedral_group_4,
     direct_product,
     disjoint_union,
     one_object_groupoid,
@@ -69,6 +70,18 @@ def test_one_object_groupoid_is_the_group():
     iso = g.isotropy("e")
     assert iso.order == 4
     assert not iso.is_trivial
+
+
+def test_dihedral_group_4_composes_the_symmetries_of_a_square():
+    d4 = dihedral_group_4()
+    assert d4.elements == ("e", "p0321", "p1032", "p1230", "p2103", "p2301", "p3012", "p3210")
+    perm = {name: tuple(map(int, name[1:])) for name in d4.elements[1:]}
+    perm["e"] = (0, 1, 2, 3)
+    name = {p: n for n, p in perm.items()}
+    for a in d4.elements:
+        for b in d4.elements:
+            # b first, then a
+            assert d4.mult[(a, b)] == name[tuple(perm[a][i] for i in perm[b])]
 
 
 def test_transitive_groupoid_matches_the_sorted_scan(monkeypatch):

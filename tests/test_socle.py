@@ -131,13 +131,13 @@ def test_generated_ideals_are_spans_of_products(seed, size, principal, designato
     assert all(left.contains(f) for f in generators)
     assert all(left.contains(u * b) for u in units for b in left.basis)
     products = [(u * f).to_vector() for f in generators for u in units]
-    assert left.canonical_matrix() == rref(field, products, n).canonical()
+    assert left.rows == rref(field, products, n).canonical()
 
     both = two_sided_ideal(algebra, generators)
     assert all(both.contains(f) for f in generators)
     assert all(both.contains(u * b) and both.contains(b * u) for u in units for b in both.basis)
     products = [(u * f * w).to_vector() for f in generators for u in units for w in units]
-    assert both.canonical_matrix() == rref(field, products, n).canonical()
+    assert both.rows == rref(field, products, n).canonical()
 
 
 def _reference_generators(rng, algebra):
@@ -431,6 +431,23 @@ def test_minimality_rejects_foreign_certificate():
     other = left_ideal(algebra, [algebra.basis_element("y")])
     with pytest.raises(ValueError):
         is_minimal_left_ideal(other, cert)
+
+
+@pytest.mark.parametrize(
+    "field, group",
+    [(Q, cyclic_group(3)), (PrimeField(2), cyclic_group(3)), (PrimeField(3), cyclic_group(4))],
+    ids=["q", "f2", "z4"],
+)
+def test_minimality_rejects_a_certificate_from_another_algebra(field, group):
+    # The membership test reads coefficients only: over GF(3) the rational
+    # certificate's 1/3 would pass, and print as '1/3 mod 3'.
+    cert = minimal_ideal_generator(SteinbergAlgebra(one_object_groupoid(group), field), "e")
+    algebra = SteinbergAlgebra(one_object_groupoid(cyclic_group(3)), PrimeField(3))
+    e = algebra.basis_element("e")
+    with pytest.raises(ValueError, match="different"):
+        is_minimal_left_ideal(left_ideal(algebra, [e]), cert)
+    with pytest.raises(ValueError, match="different"):
+        corner_minimality_transfer(e, e, cert)
 
 
 def test_minimality_splits_orbit_blocks():
@@ -729,7 +746,7 @@ def closure_socle(algebra: SteinbergAlgebra) -> SocleReport:
                 matrix_size=len(orbit),
             )
         )
-        basis.extend(decomposition.ideal.basis_vectors())
+        basis.extend(decomposition.ideal.rows)
     return SocleReport(
         algebra=algebra,
         lp_holds=True,
@@ -813,8 +830,8 @@ def test_homogeneous_component_direct_sum():
         for v in decomposition.summands[i + 1 :]:
             assert intersection_is_zero(
                 algebra.field,
-                rref(algebra.field, u.basis_vectors(), algebra.dim),
-                rref(algebra.field, v.basis_vectors(), algebra.dim),
+                rref(algebra.field, u.rows, algebra.dim),
+                rref(algebra.field, v.rows, algebra.dim),
             )
 
 
