@@ -94,10 +94,13 @@ class SteinbergAlgebra:
         n, index = self.dim, self.groupoid.index
         left = [[n] * n for _ in range(n)]
         right = [[n] * n for _ in range(n)]
-        for (a, b), c in self.groupoid.compose.items():
-            i, j, k = index[a], index[b], index[c]
-            left[i][k] = j
-            right[j][k] = i
+        rows = self.groupoid.rows
+        for i, a in enumerate(self.groupoid.elements):
+            row = rows[a]
+            at_i = left[i]
+            for j, k in zip(map(index.__getitem__, row), map(index.__getitem__, row.values())):
+                at_i[k] = j
+                right[j][k] = i
         return left, right
 
     @cached_property
@@ -196,11 +199,12 @@ class AlgebraElement:
     def _convolve(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
         f = self.algebra.field
-        compose = self.algebra.groupoid.compose
+        rows = self.algebra.groupoid.rows
         out: dict[str, object] = {}
         for a, ca in self.coeffs.items():
+            row = rows[a]
             for b, cb in other.coeffs.items():
-                x = compose.get((a, b))
+                x = row.get(b)
                 if x is None:
                     continue
                 acc = f.add(out.get(x, f.zero), f.mul(ca, cb))
@@ -239,7 +243,7 @@ class AlgebraElement:
 def bisection_product(g: FiniteGroupoid, bs: Iterable[str], ds: Iterable[str]) -> list[str]:
     """BD = {b d : b in B, d in D composable}; a bisection whenever B, D are."""
     out = {
-        g.compose[(b, d)]
+        g.rows[b][d]
         for b in bs
         for d in ds
         if g.composable(b, d)

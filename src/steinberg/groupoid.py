@@ -6,6 +6,11 @@ source(a) = range(b).  Units are the elements fixed by source and range;
 every subset of a finite discrete groupoid is compact open, so no topology
 is carried around.
 
+The composition is stored as per-element rows, rows[a] = {b: a * b} over
+the b composable with a, which is the shape every consumer reads: right
+translations, the action tables, the convolution and the axiom checks.  The
+pair-keyed view compose[(a, b)] is built from the rows on first use.
+
 The canonical order on elements is their declaration order.  All operations
 that return lists of elements follow it, which makes every downstream
 computation deterministic.
@@ -15,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain, repeat
+from operator import eq, itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .limits import MAX_ASSOCIATIVITY_TRIPLES, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
 
@@ -61,9 +68,11 @@ class FiniteGroupoid:
     """A validated finite groupoid.  Treat instances as immutable.
 
     Construct through validate() or from_json_obj(); the constructor itself
-    performs no axiom checking.  Isotropy groups, transporter sets and orbits
-    are all read off one index from (range, source) to the arrows between
-    them, built on first use in one pass over the elements.
+    performs no axiom checking.  It takes the table either as compose, a
+    mapping (a, b) -> ab, or as rows, {a: {b: ab}} with a row for every
+    element, which it keeps without copying.  Isotropy groups, transporter
+    sets and orbits are all read off one index from (range, source) to the
+    arrows between them, built on first use in one pass over the elements.
     """
 
     def __init__(
@@ -72,16 +81,25 @@ class FiniteGroupoid:
         source_of: Mapping[str, str],
         range_of: Mapping[str, str],
         inverse_of: Mapping[str, str],
-        compose: Mapping[tuple[str, str], str],
+        compose: Mapping[tuple[str, str], str] | None = None,
+        *,
+        rows: dict[str, dict[str, str]] | None = None,
     ):
         self.elements: tuple[str, ...] = tuple(elements)
         self.index: dict[str, int] = {g: i for i, g in enumerate(self.elements)}
         self.source_of = dict(source_of)
         self.range_of = dict(range_of)
         self.inverse_of = dict(inverse_of)
-        self.compose = dict(compose)
+        self.rows: dict[str, dict[str, str]] = (
+            _rows_of(self.elements, compose) if rows is None else rows
+        )
         self._units: tuple[str, ...] | None = None
         self._orbits: tuple[OrbitClass, ...] | None = None
+
+    @cached_property
+    def compose(self) -> dict[tuple[str, str], str]:
+        """(a, b) -> a * b over the composable pairs, read off the rows."""
+        return {(a, b): c for a, row in self.rows.items() for b, c in row.items()}
 
     # -- basic maps ---------------------------------------------------------
 
@@ -99,7 +117,7 @@ class FiniteGroupoid:
 
     def mul(self, a: str, b: str) -> str:
         try:
-            return self.compose[(a, b)]
+            return self.rows[a][b]
         except KeyError:
             raise ValueError(f"elements are not composable: {a!r} * {b!r}") from None
 
@@ -173,17 +191,31 @@ class FiniteGroupoid:
         raise ValueError(f"not a unit: {x!r}")
 
 
+_EMPTY: frozenset[str] = frozenset()
+
+
 def validate(
     elements: Iterable[str],
     source_of: Mapping[str, str],
     range_of: Mapping[str, str],
     inverse_of: Mapping[str, str],
-    compose: Mapping[tuple[str, str], str],
+    compose: Mapping[tuple[str, str], str] | Sequence[Sequence[str]],
+    *,
+    rows: dict[str, dict[str, str]] | None = None,
 ) -> FiniteGroupoid:
     """Check every groupoid axiom and return the validated groupoid.
 
+    compose maps each pair (a, b) to ab.  A caller that has already read the
+    table into rows {a: {b: ab}}, with a row for every element and for every
+    undeclared a it lists, passes them as rows, and compose as the table's
+    (a, b, ab) triples in table order, which then only order the violation
+    messages.  The validated groupoid keeps the rows.
+
     Collects all violations (with witnesses) into a single
-    GroupoidValidationError rather than stopping at the first.
+    GroupoidValidationError rather than stopping at the first.  Each check
+    runs on whole rows and columns at once (set comparisons, map over the
+    rows); only a check that fails runs the loop that words its violations,
+    so they come in the table's order or in canonical order.
 
     Associativity is checked by Light's test: only the triples whose middle
     element t lies in a generating set, |G_r(t)| * |G^s(t)| of them for each
@@ -207,14 +239,18 @@ def validate(
         raise SizeCapExceeded(
             f"{len(elements)} elements exceeds the cap of {MAX_GROUPOID_ELEMENTS}"
         )
-    seen = set()
-    for g in elements:
-        if g in seen:
-            violations.append(f"duplicate element id {g!r}")
-        seen.add(g)
+    seen = set(elements)
+    if len(seen) < len(elements):
+        once = set()
+        for g in elements:
+            if g in once:
+                violations.append(f"duplicate element id {g!r}")
+            once.add(g)
 
     # Structural totality first; the algebraic checks assume complete maps.
     for name, mapping in (("source", source_of), ("range", range_of), ("inverse", inverse_of)):
+        if mapping.keys() == seen and seen.issuperset(mapping.values()):
+            continue
         for g in elements:
             if g not in mapping:
                 violations.append(f"{name} map is missing element {g!r}")
@@ -223,37 +259,50 @@ def validate(
                 violations.append(f"{name} map mentions undeclared element {g!r}")
             elif v not in seen:
                 violations.append(f"{name}({g!r}) = {v!r} is not a declared element")
-    for (a, b), c in compose.items():
-        if a in seen and b in seen and c in seen:
-            continue
-        g = next(g for g in (a, b, c) if g not in seen)
-        violations.append(f"composition entry ({a!r}, {b!r}) -> {c!r} mentions undeclared {g!r}")
+
+    by_pairs = rows is None
+    if rows is None:
+        rows = _rows_of(elements, compose)
+
+    def table() -> Iterable[tuple[str, str, str]]:
+        """The entries (a, b, ab) in the table's order, to word violations."""
+        return ((a, b, c) for (a, b), c in compose.items()) if by_pairs else compose
+
+    if not (seen.issuperset(rows) and all(
+        seen.issuperset(row) and seen.issuperset(row.values()) for row in rows.values()
+    )):
+        for a, b, c in table():
+            if a in seen and b in seen and c in seen:
+                continue
+            g = next(g for g in (a, b, c) if g not in seen)
+            violations.append(
+                f"composition entry ({a!r}, {b!r}) -> {c!r} mentions undeclared {g!r}"
+            )
     if violations:
         raise GroupoidValidationError(violations)
 
     # Read in place: the validated groupoid's constructor takes the copies.
-    s, r, inv, comp = source_of, range_of, inverse_of, compose
-    rows: dict[str, dict[str, str]] = {g: {} for g in elements}  # rows[a][b] = a * b
-    for (a, b), c in comp.items():
-        rows[a][b] = c
+    s, r, inv = source_of, range_of, inverse_of
 
-    # Composition is defined exactly on the composable pairs.
+    # Composition is defined exactly on the composable pairs: the row of a
+    # holds the b with range s(a), and no others.
     by_range: dict[str, list[str]] = {}
     by_source: dict[str, list[str]] = {}
     for c in elements:
         by_range.setdefault(r[c], []).append(c)
         by_source.setdefault(s[c], []).append(c)
-    for (a, b) in comp:
-        if s[a] != r[b]:
-            violations.append(f"composition declared on the non-composable pair ({a!r}, {b!r})")
-    for a in elements:
-        row = rows[a]
-        violations += [
-            f"missing composition for the composable pair ({a!r}, {b!r})"
-            for b in by_range.get(s[a], ())
-            if b not in row
-        ]
-    if violations:
+    after = {u: set(bs) for u, bs in by_range.items()}
+    if not all(rows[a].keys() == after.get(s[a], _EMPTY) for a in elements):
+        for a, b, _ in table():
+            if s[a] != r[b]:
+                violations.append(f"composition declared on the non-composable pair ({a!r}, {b!r})")
+        for a in elements:
+            row = rows[a]
+            violations += [
+                f"missing composition for the composable pair ({a!r}, {b!r})"
+                for b in by_range.get(s[a], ())
+                if b not in row
+            ]
         raise GroupoidValidationError(violations)
 
     units_s = {g for g in elements if s[g] == g}
@@ -261,7 +310,7 @@ def validate(
         if (s[g] == g) != (r[g] == g):
             violations.append(f"{g!r} is fixed by exactly one of source and range")
     for g in elements:
-        if (comp.get((g, g)) == g) != (s[g] == g):
+        if (rows[g].get(g) == g) != (s[g] == g):
             violations.append(f"{g!r} is an idempotent or a unit but not both")
     for g in elements:
         if s[g] == g == r[g] and inv[g] != g:
@@ -271,22 +320,46 @@ def validate(
         gi = inv[g]
         if inv[gi] != g:
             violations.append(f"inverse is not involutive at {g!r}")
-        if comp.get((g, gi)) != r[g]:
+        if rows[g].get(gi) != r[g]:
             violations.append(f"{g!r} * inverse({g!r}) is not range({g!r})")
-        if comp.get((gi, g)) != s[g]:
+        if rows[gi].get(g) != s[g]:
             violations.append(f"inverse({g!r}) * {g!r} is not source({g!r})")
-        if comp.get((r[g], g)) != g:
+        if rows[r[g]].get(g) != g:
             violations.append(f"range({g!r}) * {g!r} is not {g!r}")
-        if comp.get((g, s[g])) != g:
+        if rows[g].get(s[g]) != g:
             violations.append(f"{g!r} * source({g!r}) is not {g!r}")
 
-    for (a, b), c in comp.items():
-        if s[c] != s[b] or r[c] != r[a]:
-            violations.append(f"source/range of the product ({a!r}, {b!r}) -> {c!r} are wrong")
+    # Each product ab runs from s(b) to r(a).  Read down the rows: the
+    # products' ranges against r(a) repeated along a's row, and their
+    # sources against those of the b.
+    products = list(chain.from_iterable(map(dict.values, rows.values())))
+    along = chain.from_iterable(map(repeat, map(r.__getitem__, rows), map(len, rows.values())))
+    if not (
+        list(map(r.__getitem__, products)) == list(along)
+        and list(map(s.__getitem__, products))
+        == list(map(s.__getitem__, chain.from_iterable(rows.values())))
+    ):
+        for a, b, c in table():
+            if s[c] != s[b] or r[c] != r[a]:
+                violations.append(f"source/range of the product ({a!r}, {b!r}) -> {c!r} are wrong")
 
     def through(b: str) -> int:
         """The number of composable triples with middle element b."""
         return len(by_source.get(r[b], ())) * len(by_range.get(s[b], ()))
+
+    def associates(t: str) -> bool:
+        """Whether (xt)c = x(tc) on every composable triple with middle t.
+        For each x, the row of xt read at the c's must equal the row of x
+        read at the tc's; both getters are built once for t."""
+        cs = by_range.get(s[t], ())
+        at_c = row_getter(cs)
+        at_tc = row_getter(list(map(rows[t].__getitem__, cs)))
+        xrows = list(map(rows.__getitem__, by_source.get(r[t], ())))
+        xt_rows = map(rows.__getitem__, map(itemgetter(t), xrows))
+        try:
+            return all(map(eq, map(at_c, xt_rows), map(at_tc, xrows)))
+        except KeyError:  # a product (xt)c or x(tc) is undefined
+            return False
 
     def failing(pairs) -> list[str]:
         """The triples (a, b, c), for each pair (a, b) and each c composable
@@ -314,13 +387,15 @@ def validate(
         if budget < 0:
             break
         checked.append(t)
-    witnesses = failing((x, t) for t in checked for x in by_source.get(r[t], ()))
+    witnesses = [] if all(map(associates, checked)) else failing(
+        (x, t) for t in checked for x in by_source.get(r[t], ())
+    )
     if not (violations or witnesses or budget < 0):
-        return FiniteGroupoid(elements, source_of, range_of, inverse_of, compose)
+        return FiniteGroupoid(elements, source_of, range_of, inverse_of, rows=rows)
 
     total = sum(map(through, elements))
     if total <= MAX_ASSOCIATIVITY_TRIPLES:
-        violations += failing(comp)
+        violations += failing((a, b) for a, b, _ in table())
     elif violations or witnesses:
         violations += witnesses
         violations.append(
@@ -334,6 +409,30 @@ def validate(
             "triples on this table"
         )
     raise GroupoidValidationError(violations)
+
+
+def _rows_of(
+    elements: Iterable[str], compose: Mapping[tuple[str, str], str]
+) -> dict[str, dict[str, str]]:
+    """The table (a, b) -> ab as rows {a: {b: ab}}: one for every element,
+    empty where the table lists no pair, and one for every other a it lists."""
+    rows: dict[str, dict[str, str]] = {g: {} for g in elements}
+    for (a, b), c in compose.items():
+        try:
+            rows[a][b] = c
+        except KeyError:
+            rows[a] = {b: c}
+    return rows
+
+
+def row_getter(keys: Sequence[str]) -> Callable[[Mapping[str, str]], tuple[str, ...]]:
+    """The function reading a row at keys, in order, as a tuple; it raises
+    KeyError where the row has no entry.  itemgetter(*keys), except that
+    itemgetter returns a bare value for one key and takes no fewer."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda row: (row[key],)
+    return itemgetter(*keys) if keys else lambda row: ()
 
 
 def _light_generators(elements, s, r, inv, rows, units) -> list[str]:
@@ -389,38 +488,78 @@ def from_json_obj(obj) -> FiniteGroupoid:
     if missing:
         raise ValueError(f"groupoid document is missing keys: {sorted(missing)}")
     elements = obj["elements"]
-    if not isinstance(elements, list) or not all(isinstance(g, str) for g in elements):
+    if not isinstance(elements, list) or not all(map(isinstance, elements, repeat(str))):
         raise ValueError("'elements' must be a list of strings")
     for key in ("source", "range", "inverse"):
         m = obj[key]
-        if not isinstance(m, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in m.items()
-        ):
+        if not isinstance(m, dict) or not all(map(isinstance, chain(m, m.values()), repeat(str))):
             raise ValueError(f"'{key}' must be an object mapping ids to ids")
-    compose_rows = obj["compose"]
-    if not isinstance(compose_rows, list):
+    triples = obj["compose"]
+    if not isinstance(triples, list):
         raise ValueError("'compose' must be a list of [a, b, ab] triples")
-    compose: dict[tuple[str, str], str] = {}
-    for row in compose_rows:
+    rows = _read_rows(elements, triples)
+    return validate(elements, obj["source"], obj["range"], obj["inverse"], triples, rows=rows)
+
+
+def _read_rows(elements: list[str], triples: list) -> dict[str, dict[str, str]]:
+    """The [a, b, ab] triples as rows {a: {b: ab}}, one for every element and
+    one for every other a they list.
+
+    The triples are checked a column at a time: all lists, all of length 3,
+    all entries strings (which str.join accepts and nothing else), and no
+    pair twice (the rows then hold every triple).  If a check fails, the
+    loop below raises the ValueError of the first malformed or repeated
+    triple in document order.
+    """
+    rows: dict[str, dict[str, str]] = {g: {} for g in elements}
+    if (
+        all(map(isinstance, triples, repeat(list)))
+        and set(map(len, triples)) <= {3}
+        and _all_strings(chain.from_iterable(triples))
+    ):
+        try:
+            for a, b, c in triples:
+                rows[a][b] = c
+        except KeyError:  # an undeclared a: read again below
+            pass
+        else:
+            if sum(map(len, rows.values())) == len(triples):
+                return rows
+        rows = {g: {} for g in elements}
+    for triple in triples:
         if not (
-            isinstance(row, list) and len(row) == 3
-            and isinstance(row[0], str) and isinstance(row[1], str) and isinstance(row[2], str)
+            isinstance(triple, list) and len(triple) == 3
+            and isinstance(triple[0], str) and isinstance(triple[1], str)
+            and isinstance(triple[2], str)
         ):
-            raise ValueError(f"bad composition triple: {row!r}")
-        a, b, c = row
-        if (a, b) in compose:
+            raise ValueError(f"bad composition triple: {triple!r}")
+        a, b, c = triple
+        row = rows.setdefault(a, {})
+        if b in row:
             raise ValueError(f"duplicate composition entry for ({a!r}, {b!r})")
-        compose[(a, b)] = c
-    return validate(elements, obj["source"], obj["range"], obj["inverse"], compose)
+        row[b] = c
+    return rows
+
+
+def _all_strings(items: Iterable) -> bool:
+    """Whether every item is a str, in one str.join, which refuses anything else."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
 
 
 def to_json_obj(g: FiniteGroupoid) -> dict:
     order = g.index
-    triples = sorted(g.compose.items(), key=lambda kv: (order[kv[0][0]], order[kv[0][1]]))
     return {
         "elements": list(g.elements),
         "source": {x: g.source_of[x] for x in g.elements},
         "range": {x: g.range_of[x] for x in g.elements},
         "inverse": {x: g.inverse_of[x] for x in g.elements},
-        "compose": [[a, b, c] for (a, b), c in triples],
+        "compose": [
+            [a, b, row[b]]
+            for a, row in zip(g.elements, map(g.rows.__getitem__, g.elements))
+            for b in sorted(row, key=order.__getitem__)
+        ],
     }

@@ -155,10 +155,11 @@ def _blocks(left: np.ndarray, right: np.ndarray) -> tuple[_Block, ...]:
         for other in (j, k):
             a, b = find(i), find(other)
             parent[max(a, b)] = min(a, b)
-    roots = np.array([find(i) for i in range(n)], dtype=np.intp)
+    found = [find(i) for i in range(n)]
+    roots = np.array(found, dtype=np.intp)
     local = np.empty(n + 1, dtype=np.intp)
     blocks = []
-    for root in np.unique(roots):
+    for root in sorted(set(found)):
         index = np.flatnonzero(roots == root)
         local[index] = np.arange(index.size)
         local[n] = index.size
@@ -510,11 +511,12 @@ def _first_occurrences(flat: np.ndarray) -> np.ndarray:
 
     Each row's bytes, padded with zeros to whole uint64 words, fold into
     one uint64 fingerprint by one product with the _fingerprint_multipliers
-    (mod 2**64).  np.unique keeps the first index of each fingerprint, and
-    the grouping is exact when every row equals the first row of its
-    fingerprint; if two distinct rows share one, the chunk falls back to
-    np.unique over the rows' bytes as void keys.  Either way the first
-    occurrences are those of the distinct rows.
+    (mod 2**64).  A stable argsort groups equal fingerprints with their
+    least index first, and the grouping is exact when every row equals the
+    first row of its fingerprint; if two distinct rows share one, the chunk
+    falls back to a stable lexsort of the rows' words themselves.  Either
+    way the first occurrences are those of the distinct rows.  (np.unique
+    would import numpy.ma, about 1 MiB, on its first call.)
     """
     count, width = flat.shape[0], flat.shape[1] * flat.itemsize
     raw = flat.view(np.uint8)
@@ -523,11 +525,23 @@ def _first_occurrences(flat: np.ndarray) -> np.ndarray:
         raw[:, :width] = flat.view(np.uint8)
     words = raw.view(np.uint64)
     fingerprints = words @ _fingerprint_multipliers(words.shape[1])
-    _, first, inverse = np.unique(fingerprints, return_index=True, return_inverse=True)
-    if not np.array_equal(words, words[first[inverse]]):
-        keys = raw.view(np.dtype((np.void, raw.shape[1])))[:, 0]
-        _, first = np.unique(keys, return_index=True)
+    order = np.argsort(fingerprints, kind="stable")
+    starts = _run_starts(fingerprints[order])
+    first = order[starts]
+    # Each row in sorted order against the first row of its fingerprint.
+    if not np.array_equal(words[order], words[first[np.cumsum(starts) - 1]]):
+        order = np.lexsort(words.T[::-1])
+        first = order[_run_starts(words[order])]
     return np.sort(first)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """The mask of the rows of a sorted array (entries, if it is 1-d) that
+    differ from the row before them, the first one included."""
+    starts = np.ones(ordered.shape[0], dtype=bool)
+    differ = ordered[1:] != ordered[:-1]
+    starts[1:] = differ if differ.ndim == 1 else differ.any(axis=1)
+    return starts
 
 
 def _enumerate_ideals(p: int, block: _Block, side: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -575,7 +589,7 @@ def _minimal_among(
     """
     dims = np.array([rows.shape[0] for rows, _ in ideals])
     minimal: list[int] = []
-    for dim in np.unique(dims):
+    for dim in sorted(set(dims.tolist())):
         candidates = np.flatnonzero(dims == dim)
         if minimal:
             vectors = np.concatenate([ideals[j][0] for j in minimal])

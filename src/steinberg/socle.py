@@ -51,7 +51,7 @@ from typing import Iterable, Iterator
 
 from .algebra import AlgebraElement, SteinbergAlgebra, element_to_obj
 from .fields import PrimeField
-from .groupoid import FiniteGroupoid, OrbitClass
+from .groupoid import FiniteGroupoid, OrbitClass, row_getter
 from .limits import check_enum_size
 from .linalg import EchelonBasis
 
@@ -99,6 +99,9 @@ class LeftIdeal:
         return basis
 
     def contains(self, f: AlgebraElement) -> bool:
+        """Whether f lies in the ideal; ValueError if f is an element of
+        another algebra (another field or groupoid)."""
+        self.algebra.zero()._check_compatible(f)
         return self._membership.contains(f.to_vector())
 
     def __repr__(self):
@@ -223,7 +226,7 @@ def minimal_ideal_generator(algebra: SteinbergAlgebra, x: str) -> MinimalIdealCe
     n = len(members)
     group = set(members)
     for a in members:
-        if {gpd.compose.get((a, b)) for b in members} != group:
+        if set(map(gpd.rows[a].get, members)) != group:
             raise RuntimeError(
                 f"left multiplication by {a!r} does not permute the isotropy group at unit {x!r}"
             )
@@ -513,16 +516,25 @@ def _certify_matrix_units(gpd: FiniteGroupoid, orbit: OrbitClass) -> None:
                 f"arrows {arrows[0]!r} and {arrows[1]!r} both run from {x!r} to {y!r}"
             )
         e[y, x] = arrows[0]
-    for x in members:
-        into_x = [(y, e[y, x]) for y in members]
-        for z in members:
-            e_xz = e[x, z]
-            for y, e_yx in into_x:
-                if gpd.compose.get((e_yx, e_xz)) != e[y, z]:
-                    raise RuntimeError(
-                        f"matrix units fail at ({y!r}, {x!r}, {z!r}): "
-                        f"{e_yx!r} * {e_xz!r} is not {e[y, z]!r}"
-                    )
+    # into[y] = (e_yz for z in members); for each x, the row of e_yx read at
+    # the e_xz must be into[y], which one getter per x reads off in one call.
+    into = [tuple(e[y, z] for z in members) for y in members]
+    try:
+        if all(
+            times_x(gpd.rows[into_y[i]]) == into_y
+            for i, times_x in enumerate(map(row_getter, into))
+            for into_y in into
+        ):
+            return
+    except KeyError:  # some e_yx * e_xz is undefined; the loop below names it
+        pass
+    for x, z, y in product(members, repeat=3):
+        e_yx, e_xz = e[y, x], e[x, z]
+        if gpd.rows[e_yx].get(e_xz) != e[y, z]:
+            raise RuntimeError(
+                f"matrix units fail at ({y!r}, {x!r}, {z!r}): "
+                f"{e_yx!r} * {e_xz!r} is not {e[y, z]!r}"
+            )
 
 
 def socle(algebra: SteinbergAlgebra) -> SocleReport:

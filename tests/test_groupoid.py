@@ -452,3 +452,141 @@ def test_validate_answers_promptly_on_lights_worst_case(time_limit):
         g = one_object_groupoid(group)
     assert len(g) == 512
 
+
+
+# -- the load path: from_json_obj reads the triples straight into rows --------
+
+
+def _loaded(doc):
+    """from_json_obj's violation list, or the canonical document it loads."""
+    try:
+        return to_json_obj(from_json_obj(doc))
+    except GroupoidValidationError as exc:
+        return exc.violations
+
+
+def _doc_tables(doc):
+    """The document's tables, compose keyed by pair in document order."""
+    compose = {(a, b): c for a, b, c in doc["compose"]}
+    return doc["elements"], doc["source"], doc["range"], doc["inverse"], compose
+
+
+def _corrupted_doc(g, rng, kinds):
+    """g's document with one corruption of each kind, its triples shuffled.
+    Undeclared ids come last, so the other kinds read only g's elements."""
+    doc = to_json_obj(g)
+    triples = doc["compose"]
+    elements = list(g.elements)
+    for n, kind in enumerate(sorted(kinds, key="undeclared".__eq__)):
+        if not triples:
+            break
+        i = rng.randrange(len(triples))
+        old = triples[i][2]
+        if kind == "undeclared":
+            triples[i][rng.randrange(3)] = f"stranger{n}"
+        elif kind == "non-composable":
+            pairs = [(a, b) for a in elements for b in elements if not g.composable(a, b)]
+            if pairs:
+                triples.append([*rng.choice(pairs), rng.choice(elements)])
+        elif kind == "missing":
+            del triples[i]
+        elif kind == "product":
+            triples[i][2] = rng.choice([c for c in elements if c != old] or [old])
+        elif kind == "associativity":  # a value with the right ends
+            a, b, _ = triples[i]
+            triples[i][2] = rng.choice([
+                c for c in elements if g.s(c) == g.s(b) and g.r(c) == g.r(a) and c != old
+            ] or [old])
+    rng.shuffle(triples)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 20),
+    kinds=st.lists(
+        st.sampled_from(["undeclared", "non-composable", "missing", "product", "associativity"]),
+        max_size=3,
+    ),
+)
+def test_from_json_lists_what_validate_lists_for_the_same_tables(seed, size, kinds):
+    # The rows path words its violations from the document's triples, so
+    # they follow document order exactly as the pair-keyed tables do.
+    rng = random.Random(seed)
+    g = renamed(random_groupoid(rng, size), rng)
+    doc = _corrupted_doc(g, rng, kinds)
+    if len({(a, b) for a, b, _ in doc["compose"]}) < len(doc["compose"]):
+        return  # two corruptions met on one pair; the loader refuses that
+    tables = _doc_tables(doc)
+    expected = _outcome(validate, tables)
+    assert _loaded(json.loads(json.dumps(doc))) == expected
+    assert expected == _outcome(validate_by_sweep, tables)
+
+
+def test_from_json_lists_each_kind_of_violation_in_document_order():
+    g = transitive_groupoid(["p", "q"], cyclic_group(3))
+    for kinds in (["undeclared", "undeclared"], ["non-composable", "missing"],
+                  ["product", "product"], ["associativity"]):
+        for seed in range(5):
+            doc = _corrupted_doc(g, random.Random(seed), kinds)
+            violations = _loaded(doc)
+            assert isinstance(violations, list) and violations
+            assert violations == _outcome(validate, _doc_tables(doc))
+            assert violations == _outcome(validate_by_sweep, _doc_tables(doc))
+
+
+_GOOD = ["u", "u", "u"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(_DOC_U, compose=[_GOOD, _GOOD]), "duplicate composition entry for ('u', 'u')"),
+        (dict(_DOC_U, compose=[_GOOD, _GOOD, "uuu"]),
+         "duplicate composition entry for ('u', 'u')"),
+        (dict(_DOC_U, compose=["uuu", _GOOD, _GOOD]), "bad composition triple: 'uuu'"),
+        (dict(_DOC_U, elements=[], compose=[["u", "u", 7]]),
+         "bad composition triple: ['u', 'u', 7]"),
+        (dict(_DOC_U, elements=["u", 1], compose=[]), "'elements' must be a list of strings"),
+        (dict(_DOC_U, source={"u": 1}, compose=[]),
+         "'source' must be an object mapping ids to ids"),
+        (dict(_DOC_U, compose={"u": "u"}), "'compose' must be a list of [a, b, ab] triples"),
+    ],
+)
+def test_from_json_keeps_its_messages_for_malformed_documents(doc, message):
+    # The first malformed or repeated triple in document order is named,
+    # and any of them is reported before the axioms are checked.
+    with pytest.raises(ValueError) as exc_info:
+        from_json_obj(doc)
+    assert not isinstance(exc_info.value, GroupoidValidationError)
+    assert str(exc_info.value) == message
+
+
+def test_compose_is_read_off_the_rows_and_round_trips():
+    rng = random.Random(7)
+    doc = to_json_obj(transitive_groupoid(["p", "q", "r"], cyclic_group(2)))
+    rng.shuffle(doc["compose"])
+    g = from_json_obj(doc)
+    assert g.compose == {(a, b): c for a, b, c in doc["compose"]}
+    assert all(g.rows[a][b] == c == g.mul(a, b) for a, b, c in doc["compose"])
+    again = groupoid.FiniteGroupoid(g.elements, g.source_of, g.range_of, g.inverse_of, g.compose)
+    assert again.rows == g.rows and again.compose == g.compose
+    assert to_json_obj(again) == to_json_obj(g) == to_json_obj(from_json_obj(to_json_obj(g)))
+
+
+def test_from_json_z512_answers_promptly(time_limit):
+    doc = json.loads(json.dumps(to_json_obj(one_object_groupoid(cyclic_group(512)))))
+    with time_limit(3):
+        g = from_json_obj(doc)
+    assert len(g) == 512
+
+
+def test_from_json_answers_promptly_on_lights_worst_case(time_limit):
+    group = cyclic_group(2)
+    for _ in range(8):
+        group = direct_product(group, cyclic_group(2))
+    doc = json.loads(json.dumps(to_json_obj(one_object_groupoid(group))))
+    with time_limit(3):
+        g = from_json_obj(doc)
+    assert len(g) == 512

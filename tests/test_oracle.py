@@ -671,9 +671,9 @@ def test_first_occurrences_match_a_reference(monkeypatch, dtype, width, collidin
 
 def test_the_walk_stays_within_its_memory_budget():
     # The transient peak of minimal ideals, socle and semiprime test, from
-    # a fresh algebra, after a first walk has loaded what numpy loads once
-    # (np.unique imports numpy.ma, about 1 MiB).  Each chunk budgets about
-    # 2 MiB of working arrays (_chunk_rows_for).
+    # a fresh algebra, after a first walk has loaded what numpy loads on
+    # first use.  Each chunk budgets about 2 MiB of working arrays
+    # (_chunk_rows_for).
     def walk(g, p):
         algebra = SteinbergAlgebra(g, PrimeField(p))
         oracle_socle(algebra, minimal=oracle_minimal_ideals(algebra))
@@ -693,6 +693,7 @@ def test_the_walk_stays_within_its_memory_budget():
 def test_the_oracle_does_not_load_numpy_random():
     # numpy.random costs several MiB of resident memory, and nothing in the
     # oracle needs it: the fingerprint multipliers come from Python ints.
+    # Nor does it need numpy.ma (about 1 MiB), which np.unique imports.
     src = str(Path(oracle.__file__).resolve().parents[1])
     script = (
         "import sys\n"
@@ -701,8 +702,13 @@ def test_the_oracle_does_not_load_numpy_random():
         "from steinberg.fields import PrimeField\n"
         "import steinberg.oracle as oracle\n"
         "assert 'numpy.random' not in sys.modules\n"
-        "oracle.oracle_is_semiprime(SteinbergAlgebra(pair_groupoid(['a', 'b']), PrimeField(3)))\n"
-        "assert 'numpy.random' not in sys.modules\n"
+        "for p in (2, 3):\n"
+        "    algebra = SteinbergAlgebra(pair_groupoid(['a', 'b']), PrimeField(p))\n"
+        "    oracle.oracle_socle(algebra)\n"
+        "    oracle.oracle_is_semiprime(algebra)\n"
+        "    oracle.oracle_right_socle(algebra)\n"
+        "for name in ('numpy.random', 'numpy.ma'):\n"
+        "    assert name not in sys.modules, name\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(

@@ -140,6 +140,23 @@ def test_generated_ideals_are_spans_of_products(seed, size, principal, designato
     assert both.rows == rref(field, products, n).canonical()
 
 
+@pytest.mark.parametrize("build", [left_ideal, two_sided_ideal])
+def test_ideal_membership_refuses_elements_of_another_algebra(build):
+    # Over GF(3) the ideal of e is all of F3[Z3].  The rational
+    # t = (1/3)(e + g + g2) and an element over three trivial groupoids have
+    # coefficient vectors of the same length, which alone would pass.
+    g = one_object_groupoid(cyclic_group(3))
+    algebra = SteinbergAlgebra(g, PrimeField(3))
+    ideal = build(algebra, [algebra.basis_element("e")])
+    assert ideal.contains(algebra.basis_element("g2"))
+    t = SteinbergAlgebra(g, Q).element({x: "1/3" for x in g.elements})
+    with pytest.raises(ValueError, match="different fields"):
+        ideal.contains(t)
+    points = disjoint_union(*map(trivial_groupoid, "abc"))
+    with pytest.raises(ValueError, match="different groupoids"):
+        ideal.contains(SteinbergAlgebra(points, PrimeField(3)).basis_element("a"))
+
+
 def _reference_generators(rng, algebra):
     """Each unit indicator, the certificate generator at each unit, the
     indicator of one random arrow, and one element with a random nonzero
