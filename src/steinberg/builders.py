@@ -148,7 +148,7 @@ def one_object_groupoid(group: GroupTable) -> FiniteGroupoid:
         {g: e for g in elems},
         {g: e for g in elems},
         {g: group.inverse(g) for g in elems},
-        dict(group.mult),
+        [[a, b, ab] for (a, b), ab in group.mult.items()],
     )
 
 
@@ -188,11 +188,11 @@ def transitive_groupoid(points: list[str], group: GroupTable) -> FiniteGroupoid:
     into: dict[str, list[tuple[str, str, str]]] = {}  # range -> arrows, in order
     for t in triples:
         into.setdefault(t[0], []).append(t)
-    compose = {}
+    compose = []
     for (z, m, y) in triples:
         a = ids[(z, m, y)]
         for (_, m2, x) in into[y]:
-            compose[(a, ids[(y, m2, x)])] = ids[(z, group.mult[(m, m2)], x)]
+            compose.append([a, ids[(y, m2, x)], ids[(z, group.mult[(m, m2)], x)]])
     return validate([ids[t] for t in triples], source, range_, inverse, compose)
 
 
@@ -210,7 +210,7 @@ def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
     source: dict[str, str] = {}
     range_: dict[str, str] = {}
     inverse: dict[str, str] = {}
-    compose: dict[tuple[str, str], str] = {}
+    compose: list[list[str]] = []
     for part in parts:
         for g in part.elements:
             if g in source:
@@ -219,7 +219,7 @@ def disjoint_union(*parts: FiniteGroupoid) -> FiniteGroupoid:
         source.update(part.source_of)
         range_.update(part.range_of)
         inverse.update(part.inverse_of)
-        compose.update(part.compose)
+        compose.extend([a, b, ab] for a, row in part.rows.items() for b, ab in row.items())
     return validate(elements, source, range_, inverse, compose)
 
 

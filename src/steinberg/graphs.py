@@ -408,7 +408,7 @@ def materialize_boundary_groupoid(g: DirectedGraph) -> FiniteGroupoid:
     source = {p.serialize(): p.serialize() for p in paths}
     range_ = {p.serialize(): p.serialize() for p in paths}
     inverse = {p.serialize(): p.serialize() for p in paths}
-    compose: dict[tuple[str, str], str] = {}
+    compose: list[list[str]] = []
     for ps in by_sink.values():
         for p in ps:
             for q in ps:
@@ -420,5 +420,5 @@ def materialize_boundary_groupoid(g: DirectedGraph) -> FiniteGroupoid:
         for p in ps:
             for q in ps:
                 for t in ps:
-                    compose[(arrow(p, q), arrow(q, t))] = arrow(p, t)
+                    compose.append([arrow(p, q), arrow(q, t), arrow(p, t)])
     return validate(elements, source, range_, inverse, compose)

@@ -6,10 +6,11 @@ source(a) = range(b).  Units are the elements fixed by source and range;
 every subset of a finite discrete groupoid is compact open, so no topology
 is carried around.
 
-The composition is stored as per-element rows, rows[a] = {b: a * b} over
-the b composable with a, which is the shape every consumer reads: right
-translations, the action tables, the convolution and the axiom checks.  The
-pair-keyed view compose[(a, b)] is built from the rows on first use.
+A table comes in one form, the JSON document's list of [a, b, ab] triples
+over the composable pairs, and validate() reads it into the one form a
+groupoid keeps: per-element rows, rows[a] = {b: a * b} over the b
+composable with a.  That is the shape every consumer reads: right
+translations, the action tables, the convolution and the axiom checks.
 
 The canonical order on elements is their declaration order.  All operations
 that return lists of elements follow it, which makes every downstream
@@ -22,13 +23,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import eq, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .limits import MAX_ASSOCIATIVITY_TRIPLES, MAX_GROUPOID_ELEMENTS, SizeCapExceeded
+from .limits import (
+    MAX_ASSOCIATIVITY_TRIPLES,
+    MAX_GROUPOID_ELEMENTS,
+    MAX_REPORTED_VIOLATIONS,
+    SizeCapExceeded,
+)
 
 
 class GroupoidValidationError(ValueError):
-    """Raised with the full list of violated axioms."""
+    """Raised with the list of violated axioms, cut at MAX_REPORTED_VIOLATIONS."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
@@ -68,11 +74,11 @@ class FiniteGroupoid:
     """A validated finite groupoid.  Treat instances as immutable.
 
     Construct through validate() or from_json_obj(); the constructor itself
-    performs no axiom checking.  It takes the table either as compose, a
-    mapping (a, b) -> ab, or as rows, {a: {b: ab}} with a row for every
-    element, which it keeps without copying.  Isotropy groups, transporter
-    sets and orbits are all read off one index from (range, source) to the
-    arrows between them, built on first use in one pass over the elements.
+    performs no axiom checking.  It takes the table as rows, {a: {b: ab}}
+    with a row for every element, and keeps them without copying.  Isotropy
+    groups, transporter sets and orbits are all read off one index from
+    (range, source) to the arrows between them, built on first use in one
+    pass over the elements.
     """
 
     def __init__(
@@ -81,25 +87,16 @@ class FiniteGroupoid:
         source_of: Mapping[str, str],
         range_of: Mapping[str, str],
         inverse_of: Mapping[str, str],
-        compose: Mapping[tuple[str, str], str] | None = None,
-        *,
-        rows: dict[str, dict[str, str]] | None = None,
+        rows: dict[str, dict[str, str]],
     ):
         self.elements: tuple[str, ...] = tuple(elements)
         self.index: dict[str, int] = {g: i for i, g in enumerate(self.elements)}
         self.source_of = dict(source_of)
         self.range_of = dict(range_of)
         self.inverse_of = dict(inverse_of)
-        self.rows: dict[str, dict[str, str]] = (
-            _rows_of(self.elements, compose) if rows is None else rows
-        )
+        self.rows = rows
         self._units: tuple[str, ...] | None = None
         self._orbits: tuple[OrbitClass, ...] | None = None
-
-    @cached_property
-    def compose(self) -> dict[tuple[str, str], str]:
-        """(a, b) -> a * b over the composable pairs, read off the rows."""
-        return {(a, b): c for a, row in self.rows.items() for b, c in row.items()}
 
     # -- basic maps ---------------------------------------------------------
 
@@ -199,30 +196,30 @@ def validate(
     source_of: Mapping[str, str],
     range_of: Mapping[str, str],
     inverse_of: Mapping[str, str],
-    compose: Mapping[tuple[str, str], str] | Sequence[Sequence[str]],
-    *,
-    rows: dict[str, dict[str, str]] | None = None,
+    compose: list[list[str]],
 ) -> FiniteGroupoid:
     """Check every groupoid axiom and return the validated groupoid.
 
-    compose maps each pair (a, b) to ab.  A caller that has already read the
-    table into rows {a: {b: ab}}, with a row for every element and for every
-    undeclared a it lists, passes them as rows, and compose as the table's
-    (a, b, ab) triples in table order, which then only order the violation
-    messages.  The validated groupoid keeps the rows.
+    compose is the table as the JSON document gives it: a list of [a, b, ab]
+    lists, one for each composable pair.  It is read into rows {a: {b: ab}}
+    first, and the first malformed or repeated triple in it raises
+    ValueError before any axiom is checked.  The validated groupoid keeps
+    the rows.
 
     Collects all violations (with witnesses) into a single
-    GroupoidValidationError rather than stopping at the first.  Each check
-    runs on whole rows and columns at once (set comparisons, map over the
-    rows); only a check that fails runs the loop that words its violations,
-    so they come in the table's order or in canonical order.
+    GroupoidValidationError rather than stopping at the first, up to
+    MAX_REPORTED_VIOLATIONS of them: a list that would run past the cap
+    stops there and ends with a line saying it is partial.  Each check runs
+    on whole rows and columns at once (set comparisons, map over the rows);
+    only a check that fails runs the loop that words its violations, so
+    they come in the table's order or in canonical order.
 
     Associativity is checked by Light's test: only the triples whose middle
     element t lies in a generating set, |G_r(t)| * |G^s(t)| of them for each
     t, where G_u holds the arrows with source u and G^u those with range u.
     On a group of order n that is at most log2(n) * n^2 triples.  When it
     fails, or an earlier axiom already failed, the sweep over all composable
-    triples lists every failing one, (a, b) in the table's order and c in
+    triples lists the failing ones, (a, b) in the table's order and c in
     canonical order.  Above MAX_ASSOCIATIVITY_TRIPLES composable triples the
     sweep does not run: the list then holds the failing triples Light's test
     found and ends with a line saying it is partial.  Light's test is held
@@ -231,7 +228,19 @@ def validate(
     cap can cause.
     """
     elements = list(elements)
+    rows = _read_rows(elements, compose)
     violations: list[str] = []
+
+    def report(violation: str) -> None:
+        """Add a violation to the list; one past the cap ends the list with
+        a line saying it is partial, and validation with it."""
+        if len(violations) == MAX_REPORTED_VIOLATIONS:
+            violations.append(
+                f"the list is partial: it stops at the cap of {MAX_REPORTED_VIOLATIONS} "
+                "violations"
+            )
+            raise GroupoidValidationError(violations)
+        violations.append(violation)
 
     if not elements:
         raise GroupoidValidationError(["the element list is empty"])
@@ -244,7 +253,7 @@ def validate(
         once = set()
         for g in elements:
             if g in once:
-                violations.append(f"duplicate element id {g!r}")
+                report(f"duplicate element id {g!r}")
             once.add(g)
 
     # Structural totality first; the algebraic checks assume complete maps.
@@ -253,31 +262,21 @@ def validate(
             continue
         for g in elements:
             if g not in mapping:
-                violations.append(f"{name} map is missing element {g!r}")
+                report(f"{name} map is missing element {g!r}")
         for g, v in mapping.items():
             if g not in seen:
-                violations.append(f"{name} map mentions undeclared element {g!r}")
+                report(f"{name} map mentions undeclared element {g!r}")
             elif v not in seen:
-                violations.append(f"{name}({g!r}) = {v!r} is not a declared element")
-
-    by_pairs = rows is None
-    if rows is None:
-        rows = _rows_of(elements, compose)
-
-    def table() -> Iterable[tuple[str, str, str]]:
-        """The entries (a, b, ab) in the table's order, to word violations."""
-        return ((a, b, c) for (a, b), c in compose.items()) if by_pairs else compose
+                report(f"{name}({g!r}) = {v!r} is not a declared element")
 
     if not (seen.issuperset(rows) and all(
         seen.issuperset(row) and seen.issuperset(row.values()) for row in rows.values()
     )):
-        for a, b, c in table():
+        for a, b, c in compose:
             if a in seen and b in seen and c in seen:
                 continue
             g = next(g for g in (a, b, c) if g not in seen)
-            violations.append(
-                f"composition entry ({a!r}, {b!r}) -> {c!r} mentions undeclared {g!r}"
-            )
+            report(f"composition entry ({a!r}, {b!r}) -> {c!r} mentions undeclared {g!r}")
     if violations:
         raise GroupoidValidationError(violations)
 
@@ -293,41 +292,39 @@ def validate(
         by_source.setdefault(s[c], []).append(c)
     after = {u: set(bs) for u, bs in by_range.items()}
     if not all(rows[a].keys() == after.get(s[a], _EMPTY) for a in elements):
-        for a, b, _ in table():
+        for a, b, _ in compose:
             if s[a] != r[b]:
-                violations.append(f"composition declared on the non-composable pair ({a!r}, {b!r})")
+                report(f"composition declared on the non-composable pair ({a!r}, {b!r})")
         for a in elements:
             row = rows[a]
-            violations += [
-                f"missing composition for the composable pair ({a!r}, {b!r})"
-                for b in by_range.get(s[a], ())
-                if b not in row
-            ]
+            for b in by_range.get(s[a], ()):
+                if b not in row:
+                    report(f"missing composition for the composable pair ({a!r}, {b!r})")
         raise GroupoidValidationError(violations)
 
     units_s = {g for g in elements if s[g] == g}
     for g in elements:
         if (s[g] == g) != (r[g] == g):
-            violations.append(f"{g!r} is fixed by exactly one of source and range")
+            report(f"{g!r} is fixed by exactly one of source and range")
     for g in elements:
         if (rows[g].get(g) == g) != (s[g] == g):
-            violations.append(f"{g!r} is an idempotent or a unit but not both")
+            report(f"{g!r} is an idempotent or a unit but not both")
     for g in elements:
         if s[g] == g == r[g] and inv[g] != g:
-            violations.append(f"unit {g!r} is not its own inverse")
+            report(f"unit {g!r} is not its own inverse")
 
     for g in elements:
         gi = inv[g]
         if inv[gi] != g:
-            violations.append(f"inverse is not involutive at {g!r}")
+            report(f"inverse is not involutive at {g!r}")
         if rows[g].get(gi) != r[g]:
-            violations.append(f"{g!r} * inverse({g!r}) is not range({g!r})")
+            report(f"{g!r} * inverse({g!r}) is not range({g!r})")
         if rows[gi].get(g) != s[g]:
-            violations.append(f"inverse({g!r}) * {g!r} is not source({g!r})")
+            report(f"inverse({g!r}) * {g!r} is not source({g!r})")
         if rows[r[g]].get(g) != g:
-            violations.append(f"range({g!r}) * {g!r} is not {g!r}")
+            report(f"range({g!r}) * {g!r} is not {g!r}")
         if rows[g].get(s[g]) != g:
-            violations.append(f"{g!r} * source({g!r}) is not {g!r}")
+            report(f"{g!r} * source({g!r}) is not {g!r}")
 
     # Each product ab runs from s(b) to r(a).  Read down the rows: the
     # products' ranges against r(a) repeated along a's row, and their
@@ -339,9 +336,9 @@ def validate(
         and list(map(s.__getitem__, products))
         == list(map(s.__getitem__, chain.from_iterable(rows.values())))
     ):
-        for a, b, c in table():
+        for a, b, c in compose:
             if s[c] != s[b] or r[c] != r[a]:
-                violations.append(f"source/range of the product ({a!r}, {b!r}) -> {c!r} are wrong")
+                report(f"source/range of the product ({a!r}, {b!r}) -> {c!r} are wrong")
 
     def through(b: str) -> int:
         """The number of composable triples with middle element b."""
@@ -361,22 +358,18 @@ def validate(
         except KeyError:  # a product (xt)c or x(tc) is undefined
             return False
 
-    def failing(pairs) -> list[str]:
+    def failing(pairs) -> Iterator[str]:
         """The triples (a, b, c), for each pair (a, b) and each c composable
         with b in canonical order, on which (ab)c and a(bc) differ or are
-        undefined."""
-        found = []
+        undefined, as they are found."""
         for a, b in pairs:
             cs = by_range.get(s[b], ())
             left = list(map(rows[rows[a][b]].get, cs))
             right = list(map(rows[a].get, map(rows[b].__getitem__, cs)))
             if left != right or None in left:
-                found += [
-                    f"associativity fails on the triple ({a!r}, {b!r}, {c!r})"
-                    for c, x, y in zip(cs, left, right)
-                    if x is None or x != y
-                ]
-        return found
+                for c, x, y in zip(cs, left, right):
+                    if x is None or x != y:
+                        yield f"associativity fails on the triple ({a!r}, {b!r}, {c!r})"
 
     # Associativity by Light's test, which proves it only when every other
     # axiom holds (see _light_generators); after an earlier violation it
@@ -387,17 +380,17 @@ def validate(
         if budget < 0:
             break
         checked.append(t)
-    witnesses = [] if all(map(associates, checked)) else failing(
-        (x, t) for t in checked for x in by_source.get(r[t], ())
-    )
-    if not (violations or witnesses or budget < 0):
-        return FiniteGroupoid(elements, source_of, range_of, inverse_of, rows=rows)
+    light_holds = all(map(associates, checked))
+    if not violations and light_holds and budget >= 0:
+        return FiniteGroupoid(elements, source_of, range_of, inverse_of, rows)
 
     total = sum(map(through, elements))
     if total <= MAX_ASSOCIATIVITY_TRIPLES:
-        violations += failing((a, b) for a, b, _ in table())
-    elif violations or witnesses:
-        violations += witnesses
+        for violation in failing((a, b) for a, b, _ in compose):
+            report(violation)
+    elif violations or not light_holds:
+        for violation in failing((x, t) for t in checked for x in by_source.get(r[t], ())):
+            report(violation)
         violations.append(
             f"the list is partial: the {total} composable triples exceed the cap of "
             f"{MAX_ASSOCIATIVITY_TRIPLES}, so associativity failures are listed only "
@@ -409,20 +402,6 @@ def validate(
             "triples on this table"
         )
     raise GroupoidValidationError(violations)
-
-
-def _rows_of(
-    elements: Iterable[str], compose: Mapping[tuple[str, str], str]
-) -> dict[str, dict[str, str]]:
-    """The table (a, b) -> ab as rows {a: {b: ab}}: one for every element,
-    empty where the table lists no pair, and one for every other a it lists."""
-    rows: dict[str, dict[str, str]] = {g: {} for g in elements}
-    for (a, b), c in compose.items():
-        try:
-            rows[a][b] = c
-        except KeyError:
-            rows[a] = {b: c}
-    return rows
 
 
 def row_getter(keys: Sequence[str]) -> Callable[[Mapping[str, str]], tuple[str, ...]]:
@@ -494,11 +473,7 @@ def from_json_obj(obj) -> FiniteGroupoid:
         m = obj[key]
         if not isinstance(m, dict) or not all(map(isinstance, chain(m, m.values()), repeat(str))):
             raise ValueError(f"'{key}' must be an object mapping ids to ids")
-    triples = obj["compose"]
-    if not isinstance(triples, list):
-        raise ValueError("'compose' must be a list of [a, b, ab] triples")
-    rows = _read_rows(elements, triples)
-    return validate(elements, obj["source"], obj["range"], obj["inverse"], triples, rows=rows)
+    return validate(elements, obj["source"], obj["range"], obj["inverse"], obj["compose"])
 
 
 def _read_rows(elements: list[str], triples: list) -> dict[str, dict[str, str]]:
@@ -511,6 +486,8 @@ def _read_rows(elements: list[str], triples: list) -> dict[str, dict[str, str]]:
     loop below raises the ValueError of the first malformed or repeated
     triple in document order.
     """
+    if not isinstance(triples, list):
+        raise ValueError("'compose' must be a list of [a, b, ab] triples")
     rows: dict[str, dict[str, str]] = {g: {} for g in elements}
     if (
         all(map(isinstance, triples, repeat(list)))

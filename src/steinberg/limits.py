@@ -1,6 +1,6 @@
 """Hard size caps shared by the validator and the exhaustive routines.
 
-All four are constants: no argument or environment variable moves them.
+All five are constants: no argument or environment variable moves them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ MAX_GROUPOID_ELEMENTS = 512
 # most 9 * 512^2 (about 2.4 M) triples, the cost for a group of order 512
 # with nine generators: no valid groupoid is refused.
 MAX_ASSOCIATIVITY_TRIPLES = 1 << 22
+
+# Ceiling on the violations that validation lists for one table.  An
+# invalid table can fail on millions of triples; the list stops at the cap
+# and ends with a line saying it is partial, so what a report costs follows
+# the cap, not the table (about 60 KB of JSON with short element ids).
+MAX_REPORTED_VIOLATIONS = 1000
 
 # Ceiling on exhaustive vector enumeration (q ** dimension): the oracle's
 # q^|G| vectors, and the minimality test's q^(dim I / k) corner vectors.

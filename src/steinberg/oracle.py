@@ -371,12 +371,6 @@ def _members(vectors: np.ndarray, spans: np.ndarray, p: int) -> np.ndarray:
     return (combos == vectors).all(axis=2)
 
 
-def _in_span(vectors: np.ndarray, rows: np.ndarray, p: int) -> bool:
-    """Whether every vector lies in the row space of rows, which are reduced
-    echelon rows over GF(p) with no zero row (see _members)."""
-    return bool(_members(vectors, rows[None], p).all())
-
-
 # The widest packed GF(2) word; see _word_dtype.
 _WORD_BITS = 32
 
@@ -647,7 +641,7 @@ def _socle(algebra: SteinbergAlgebra, minimal: list[LeftIdeal]) -> LeftIdeal:
     for table in _tables(algebra).gather:
         # Every product 1_g * r (or r * 1_g) of every row r, one per row.
         products = _products(rows.T, table, p).transpose(0, 2, 1).reshape(-1, n)
-        if not _in_span(products, rows, p):
+        if not _members(products, rows[None], p).all():
             raise RuntimeError("socle failed the two-sided closure check")
     generators = tuple(i.generators[0] for i in minimal)
     return LeftIdeal(algebra, generators, tuple(map(tuple, rows.tolist())), two_sided=True)

@@ -168,10 +168,7 @@ def _generated_ideal(
     if two_sided:
         rows = _unit_spans(algebra, rows, "right")
     return LeftIdeal(
-        algebra=algebra,
-        generators=tuple(generators),
-        rows=tuple(_unit_spans(algebra, rows, "left")),
-        two_sided=two_sided,
+        algebra, tuple(generators), tuple(_unit_spans(algebra, rows, "left")), two_sided=two_sided
     )
 
 
@@ -265,7 +262,7 @@ def certificate_ideal(certificate: MinimalIdealCertificate) -> LeftIdeal:
         for g in arrows:
             row[gpd.index[g]] = field.one
         rows.append(tuple(row))
-    return LeftIdeal(algebra=algebra, generators=(certificate.generator,), rows=tuple(rows))
+    return LeftIdeal(algebra, (certificate.generator,), tuple(rows))
 
 
 # -- minimality tests -----------------------------------------------------------

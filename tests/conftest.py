@@ -1,7 +1,11 @@
+import random
 import signal
 from contextlib import contextmanager
 
 import pytest
+
+from steinberg.builders import cyclic_group, one_object_groupoid
+from steinberg.groupoid import to_json_obj
 
 
 @pytest.fixture
@@ -44,3 +48,18 @@ def diamond_chain():
         return vertices, edges
 
     return build
+
+
+@pytest.fixture(scope="session")
+def over_cap_documents():
+    """Two invalid groupoid documents with far more violations than the
+    list holds: Z161 with its products shuffled among the triples (0.63 MB;
+    nearly all of its 161^3 triples fail associativity, just under the cap
+    on the all-triples sweep) and Z512 with an empty table (512^2 missing
+    pairs)."""
+    z161 = to_json_obj(one_object_groupoid(cyclic_group(161)))
+    products = [c for _, _, c in z161["compose"]]
+    random.Random(0).shuffle(products)
+    z161["compose"] = [[a, b, c] for (a, b, _), c in zip(z161["compose"], products)]
+    z512 = dict(to_json_obj(one_object_groupoid(cyclic_group(512))), compose=[])
+    return {"shuffled Z161": z161, "empty Z512": z512}

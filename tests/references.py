@@ -9,8 +9,10 @@ validation that checked associativity on every composable triple before
 steinberg.groupoid checked it by Light's test, the isotropy and
 transporter scans and the union-find orbits that FiniteGroupoid's
 (range, source) index replaced, the dense elimination over all |G|
-columns that the per-unit ideal spans replaced, and the transitive
-groupoid built by a sort and a scan of every pair of arrows.
+columns that the per-unit ideal spans replaced, the transitive
+groupoid built by a sort and a scan of every pair of arrows, and the
+pair-keyed composition table (a, b) -> ab that FiniteGroupoid kept before
+rows became its only table.
 
 Nothing here is part of the library; tests compare the engine against these
 slow, assumption-free versions.
@@ -243,6 +245,26 @@ def line_point_statuses(g: DirectedGraph) -> GraphSocleReport:
     return GraphSocleReport(line_points=tuple(points), blocks=blocks, per_vertex=statuses)
 
 
+def pairs(g: FiniteGroupoid) -> dict[tuple[str, str], str]:
+    """g's table keyed by pair, (a, b) -> ab, in the order of its rows."""
+    return {(a, b): c for a, row in g.rows.items() for b, c in row.items()}
+
+
+def triples(compose: dict[tuple[str, str], str]) -> list[list[str]]:
+    """A pair-keyed table as the [a, b, ab] lists validate takes, in the
+    table's order, so violations come in the same order."""
+    return [[a, b, c] for (a, b), c in compose.items()]
+
+
+def rows_of(elements, compose: dict[tuple[str, str], str]) -> dict[str, dict[str, str]]:
+    """A pair-keyed table as the rows FiniteGroupoid takes: one for every
+    element, and one for every other a the table lists."""
+    rows: dict[str, dict[str, str]] = {g: {} for g in elements}
+    for (a, b), c in compose.items():
+        rows.setdefault(a, {})[b] = c
+    return rows
+
+
 def associativity_fails(compose, a: str, b: str, c: str) -> bool:
     """Whether (ab)c and a(bc) differ or are undefined, for composable
     pairs (a, b) and (b, c) of the table."""
@@ -253,7 +275,9 @@ def associativity_fails(compose, a: str, b: str, c: str) -> bool:
 def validate_by_sweep(elements, source_of, range_of, inverse_of, compose) -> FiniteGroupoid:
     """steinberg.groupoid.validate as it was before Light's test: the same
     axioms in the same order, and associativity checked on every composable
-    triple, (a, b) in the table's order and c in canonical order."""
+    triple, (a, b) in the table's order and c in canonical order.  compose
+    is a list of [a, b, ab] triples with no pair twice; the list of
+    violations is not capped."""
     elements = list(elements)
     violations: list[str] = []
 
@@ -278,7 +302,7 @@ def validate_by_sweep(elements, source_of, range_of, inverse_of, compose) -> Fin
                 violations.append(f"{name} map mentions undeclared element {g!r}")
             elif v not in seen:
                 violations.append(f"{name}({g!r}) = {v!r} is not a declared element")
-    for (a, b), c in compose.items():
+    for a, b, c in compose:
         for g in (a, b, c):
             if g not in seen:
                 violations.append(f"composition entry ({a!r}, {b!r}) -> {c!r} mentions undeclared {g!r}")
@@ -287,7 +311,7 @@ def validate_by_sweep(elements, source_of, range_of, inverse_of, compose) -> Fin
         raise GroupoidValidationError(violations)
 
     s, r, inv = dict(source_of), dict(range_of), dict(inverse_of)
-    comp = dict(compose)
+    comp = {(a, b): c for a, b, c in compose}
 
     by_range: dict[str, list[str]] = {}
     for c in elements:
@@ -339,7 +363,7 @@ def validate_by_sweep(elements, source_of, range_of, inverse_of, compose) -> Fin
 
     if violations:
         raise GroupoidValidationError(violations)
-    return FiniteGroupoid(elements, s, r, inv, comp)
+    return FiniteGroupoid(elements, s, r, inv, rows_of(elements, comp))
 
 
 def scanned_units(g: FiniteGroupoid) -> tuple[str, ...]:
@@ -416,9 +440,9 @@ def sorted_transitive_groupoid(points: list[str], group: GroupTable) -> FiniteGr
     source = {ids[(y, m, x)]: x for (y, m, x) in triples}
     range_ = {ids[(y, m, x)]: y for (y, m, x) in triples}
     inverse = {ids[(y, m, x)]: ids[(x, group.inverse(m), y)] for (y, m, x) in triples}
-    compose = {}
+    compose = []
     for (z, m, y) in triples:
         for (y2, m2, x) in triples:
             if y == y2:
-                compose[(ids[(z, m, y)], ids[(y2, m2, x)])] = ids[(z, group.mult[(m, m2)], x)]
+                compose.append([ids[(z, m, y)], ids[(y2, m2, x)], ids[(z, group.mult[(m, m2)], x)]])
     return validate([ids[t] for t in triples], source, range_, inverse, compose)

@@ -21,6 +21,8 @@ from steinberg.builders import (
 from steinberg.fields import PrimeField, Rationals
 from steinberg.groupoid import validate
 
+from references import pairs
+
 Q = Rationals()
 
 
@@ -43,7 +45,7 @@ def test_convolution_matches_definition():
         product = f * h
         for x in g.elements:
             total = Fraction(0)
-            for (a, b), ab in g.compose.items():
+            for (a, b), ab in pairs(g).items():
                 if ab == x:
                     total += f(a) * h(b)
             assert product(x) == total
@@ -184,10 +186,10 @@ def _renamed_and_shuffled(g, rng):
     names = {x: f"x{i}" for i, x in enumerate(rng.sample(g.elements, len(g.elements)))}
     order = [names[x] for x in g.elements]
     rng.shuffle(order)
-    entries = [((names[a], names[b]), names[c]) for (a, b), c in g.compose.items()]
+    entries = [[names[a], names[b], names[c]] for (a, b), c in pairs(g).items()]
     rng.shuffle(entries)
     maps = ({names[x]: names[m[x]] for x in g.elements} for m in (g.source_of, g.range_of, g.inverse_of))
-    return validate(order, *maps, dict(entries))
+    return validate(order, *maps, entries)
 
 
 def test_action_tables_are_gather_tables():
@@ -198,8 +200,8 @@ def test_action_tables_are_gather_tables():
     for g in all_groupoids_up_to(6) + renamed:
         algebra = SteinbergAlgebra(g, Q)
         n, i = algebra.dim, g.index
-        left = {(i[a], i[c]): i[b] for (a, b), c in g.compose.items()}
-        right = {(i[b], i[c]): i[a] for (a, b), c in g.compose.items()}
+        left = {(i[a], i[c]): i[b] for (a, b), c in pairs(g).items()}
+        right = {(i[b], i[c]): i[a] for (a, b), c in pairs(g).items()}
         for table, expected in ((algebra.left_action_table, left), (algebra.right_action_table, right)):
             assert table == [[expected.get((row, k), n) for k in range(n)] for row in range(n)]
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from steinberg.builders import (
 from steinberg.fields import field_from_designator
 from steinberg.graphs import GraphSocleReport, SocleBlock, lpa_socle
 from steinberg.groupoid import to_json_obj
+from steinberg.limits import MAX_REPORTED_VIOLATIONS
 from steinberg.socle import left_ideal, minimal_ideal_generator
 
 
@@ -137,6 +139,21 @@ def test_validate_refuses_a_corrupted_z512_promptly(run, tmp_path, time_limit):
     triples = [ast.literal_eval(v[len(prefix) :]) for v in violations[:-1]]
     compose = {(a, b): c for a, b, c in obj["compose"]}
     assert triples and all(associativity_fails(compose, *t) for t in triples)
+
+
+@pytest.mark.parametrize("name", ["shuffled Z161", "empty Z512"])
+def test_validate_cuts_an_over_cap_list_and_exits_1(
+    run, tmp_path, time_limit, over_cap_documents, name
+):
+    path = tmp_path / "over-cap.json"
+    path.write_text(json.dumps(over_cap_documents[name]))
+    with time_limit(2):
+        code, out, _ = run("validate", str(path))
+    assert code == 1
+    assert len(out.encode()) < 1 << 20
+    violations = json.loads(out)["violations"]
+    assert len(violations) == MAX_REPORTED_VIOLATIONS + 1
+    assert violations[-1].startswith("the list is partial: it stops at the cap")
 
 
 def test_validate_unparseable_exits_64(run, files, tmp_path):
@@ -331,7 +348,10 @@ def test_oracle_converts_the_gather_tables_once(run, tmp_path, monkeypatch, fiel
 
 def test_oracle_failed_closure_check_exits_70(run, files, monkeypatch):
     # a socle that fails its two-sided closure check is reported, not raised
-    monkeypatch.setattr(oracle, "_in_span", lambda vectors, rows, p: False)
+    # every membership test fails, so the socle's closure check does too
+    monkeypatch.setattr(
+        oracle, "_members", lambda vectors, spans, p: np.zeros((len(spans), len(vectors)), bool)
+    )
     code, out, err = run("oracle", files["pair2"], "--field", "f2")
     assert code == 70
     assert out == ""

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +27,15 @@ from steinberg.groupoid import (
     to_json_obj,
     validate,
 )
-from steinberg.limits import SizeCapExceeded
+from steinberg.limits import MAX_REPORTED_VIOLATIONS, SizeCapExceeded
 
 from references import (
+    pairs,
     scanned_isotropy,
     scanned_transporter,
     scanned_units,
     sorted_transitive_groupoid,
+    triples,
     union_find_orbit_classes,
     validate_by_sweep,
 )
@@ -148,45 +151,55 @@ def test_validate_rejects_bad_inverse():
     arrow = next(e for e in g.elements if g.s(e) != g.r(e))
     inverse[arrow] = arrow  # wrong: breaks gg^-1 = r(g)
     with pytest.raises(GroupoidValidationError) as exc_info:
-        validate(list(g.elements), dict(g.source_of), dict(g.range_of), inverse, dict(g.compose))
+        validate(list(g.elements), dict(g.source_of), dict(g.range_of), inverse, triples(pairs(g)))
     assert exc_info.value.violations
 
 
 def test_validate_rejects_partial_compose():
     g = pair_groupoid(["a", "b"])
-    compose = dict(g.compose)
+    compose = pairs(g)
     compose.pop(next(iter(compose)))
     with pytest.raises(GroupoidValidationError):
-        validate(list(g.elements), dict(g.source_of), dict(g.range_of), dict(g.inverse_of), compose)
+        validate(*_tables(g, compose))
 
 
 def test_validate_rejects_extra_compose_pair():
     g = disjoint_union(trivial_groupoid("a"), trivial_groupoid("b"))
-    compose = dict(g.compose)
+    compose = pairs(g)
     compose[("a", "b")] = "a"  # not composable
     with pytest.raises(GroupoidValidationError):
-        validate(list(g.elements), dict(g.source_of), dict(g.range_of), dict(g.inverse_of), compose)
+        validate(*_tables(g, compose))
 
 
 def test_validate_collects_multiple_violations():
     with pytest.raises(GroupoidValidationError) as exc_info:
-        validate(["x", "x"], {"x": "y"}, {"x": "x"}, {"x": "x"}, {})
+        validate(["x", "x"], {"x": "y"}, {"x": "x"}, {"x": "x"}, [])
     assert len(exc_info.value.violations) >= 2
 
 
 def test_validate_rejects_associativity_break():
     # mangle one product of Z/3 so (g g) g2 differs from g (g g2)
     g = one_object_groupoid(cyclic_group(3))
-    compose = dict(g.compose)
+    compose = pairs(g)
     compose[("g", "g")] = "g"
     with pytest.raises(GroupoidValidationError) as exc_info:
-        validate(list(g.elements), dict(g.source_of), dict(g.range_of), dict(g.inverse_of), compose)
+        validate(*_tables(g, compose))
     assert any("associativity" in v for v in exc_info.value.violations)
 
 
 def test_validate_empty_rejected():
     with pytest.raises(GroupoidValidationError):
-        validate([], {}, {}, {}, {})
+        validate([], {}, {}, {}, [])
+
+
+def test_validate_refuses_a_pair_keyed_table():
+    # The table is the document's [a, b, ab] list; a dict keyed by pair is
+    # refused whole rather than read as a list of its keys.
+    g = pair_groupoid(["a", "b"])
+    with pytest.raises(ValueError) as exc_info:
+        validate(list(g.elements), g.source_of, g.range_of, g.inverse_of, pairs(g))
+    assert not isinstance(exc_info.value, GroupoidValidationError)
+    assert str(exc_info.value) == "'compose' must be a list of [a, b, ab] triples"
 
 
 def test_size_cap():
@@ -202,7 +215,7 @@ def test_json_round_trip_bit_exact():
     g2 = from_json_obj(json.loads(text))
     assert to_json_obj(g2) == obj
     assert g2.elements == g.elements
-    assert g2.compose == g.compose
+    assert g2.rows == g.rows
 
 
 def test_from_json_rejects_malformed():
@@ -262,7 +275,7 @@ def renamed(g, rng):
     names = {x: f"x{i}" for i, x in enumerate(rng.sample(g.elements, len(g.elements)))}
     order = list(g.elements)
     rng.shuffle(order)
-    compose = {(names[a], names[b]): names[c] for (a, b), c in g.compose.items()}
+    compose = [[names[a], names[b], names[c]] for (a, b), c in pairs(g).items()]
     return validate(
         [names[x] for x in order],
         *({names[x]: names[m[x]] for x in g.elements} for m in (g.source_of, g.range_of, g.inverse_of)),
@@ -311,12 +324,14 @@ def test_structure_queries_match_the_scans_on_random_groupoids(seed, size, max_i
 
 
 def _tables(g, compose=None):
+    """g's tables for validate, with compose, a pair-keyed table, in place
+    of g's own if given; the triples keep the table's order."""
     return (
         list(g.elements),
         dict(g.source_of),
         dict(g.range_of),
         dict(g.inverse_of),
-        dict(g.compose) if compose is None else compose,
+        triples(pairs(g) if compose is None else compose),
     )
 
 
@@ -333,7 +348,7 @@ def _corruptions(g, associativity_only: bool):
     associativity_only, the entry (a, b) has non-units a, b with
     b != inverse(a) and its new value keeps source and range and is not a
     itself when a == b, so every other axiom still holds."""
-    for (a, b), old in g.compose.items():
+    for (a, b), old in pairs(g).items():
         if associativity_only:
             if g.is_unit(a) or g.is_unit(b) or b == g.inv(a):
                 continue
@@ -344,7 +359,7 @@ def _corruptions(g, associativity_only: bool):
         else:
             values = [c for c in g.elements if c != old]
         for c in values:
-            yield dict(g.compose) | {(a, b): c}
+            yield pairs(g) | {(a, b): c}
 
 
 def _assert_agrees(g, compose):
@@ -377,22 +392,21 @@ def test_validate_agrees_with_the_sweep_on_random_groupoids(seed, size, max_isot
     if kind in ("associativity", "any"):
         options = list(_corruptions(g, associativity_only=kind == "associativity"))
         if options:
-            compose = rng.choice(options)
+            compose = triples(rng.choice(options))
     elif kind == "map":
         mapping = rng.choice([source, range_, inverse])
         mapping[rng.choice(elements)] = rng.choice(elements)
-    entries = list(compose.items())
-    rng.shuffle(entries)  # the sweep lists failures in the table's order
-    tables = (elements, source, range_, inverse, dict(entries))
+    rng.shuffle(compose)  # the sweep lists failures in the table's order
+    tables = (elements, source, range_, inverse, compose)
     assert _outcome(validate, tables) == _outcome(validate_by_sweep, tables)
 
 
 @pytest.mark.parametrize("order", ["uvwx", "xwvu", "wuxv"])
 def test_validate_lists_unit_violations_in_element_order(order):
     # four units whose inverse map pairs u with v and w with x
-    pairs = {"u": "v", "v": "u", "w": "x", "x": "w"}
+    partner = {"u": "v", "v": "u", "w": "x", "x": "w"}
     ids = {g: g for g in order}
-    tables = (list(order), ids, ids, {g: pairs[g] for g in order}, {(g, g): g for g in order})
+    tables = (list(order), ids, ids, {g: partner[g] for g in order}, [[g, g, g] for g in order])
     violations = _outcome(validate, tables)
     assert [v for v in violations if v.startswith("unit ")] == [
         f"unit {g!r} is not its own inverse" for g in order
@@ -402,7 +416,7 @@ def test_validate_lists_unit_violations_in_element_order(order):
 
 def _z6_corrupted():
     g = one_object_groupoid(cyclic_group(6))
-    return g, dict(g.compose) | {("g", "g2"): "g4"}  # g * g2 is g3
+    return g, pairs(g) | {("g", "g2"): "g4"}  # g * g2 is g3
 
 
 def test_over_the_triple_cap_only_lights_witnesses_are_listed(monkeypatch):
@@ -435,6 +449,48 @@ def test_light_test_past_the_cap_without_a_witness_is_refused(monkeypatch):
         validate(*_tables(g))
 
 
+def test_over_the_violation_cap_the_list_is_the_sweeps_first(monkeypatch):
+    # A list that would run past the cap holds the sweep's first violations
+    # and a line saying it is partial; a list under the cap is the sweep's.
+    monkeypatch.setattr(groupoid, "MAX_REPORTED_VIOLATIONS", 6)
+    cut = 0
+    for g in all_groupoids_up_to(5):
+        for compose in _corruptions(g, associativity_only=False):
+            tables = _tables(g, compose)
+            full = _outcome(validate_by_sweep, tables)
+            listed = _outcome(validate, tables)
+            if isinstance(full, list) and len(full) > 6:
+                cut += 1
+                partial = "the list is partial: it stops at the cap of 6 violations"
+                assert listed == full[:6] + [partial]
+            else:
+                assert listed == full
+    assert cut
+
+
+@pytest.mark.parametrize("name", ["shuffled Z161", "empty Z512"])
+def test_an_over_cap_violation_list_is_cut_promptly(over_cap_documents, name, time_limit):
+    doc = over_cap_documents[name]
+    tracemalloc.start()
+    try:
+        with time_limit(2):
+            violations = _loaded(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert len(violations) == MAX_REPORTED_VIOLATIONS + 1
+    assert violations[-1] == (
+        f"the list is partial: it stops at the cap of {MAX_REPORTED_VIOLATIONS} violations"
+    )
+    if name == "empty Z512":  # every composable pair is missing, in canonical order
+        elements = doc["elements"]
+        assert violations[:-1] == [
+            f"missing composition for the composable pair ({a!r}, {b!r})"
+            for a in elements[:2] for b in elements
+        ][:MAX_REPORTED_VIOLATIONS]
+
+
 def test_validate_z512_answers_promptly(time_limit):
     group = cyclic_group(512)
     with time_limit(3):
@@ -454,7 +510,7 @@ def test_validate_answers_promptly_on_lights_worst_case(time_limit):
 
 
 
-# -- the load path: from_json_obj reads the triples straight into rows --------
+# -- the load path: validate reads the document's triples straight into rows -
 
 
 def _loaded(doc):
@@ -466,38 +522,37 @@ def _loaded(doc):
 
 
 def _doc_tables(doc):
-    """The document's tables, compose keyed by pair in document order."""
-    compose = {(a, b): c for a, b, c in doc["compose"]}
-    return doc["elements"], doc["source"], doc["range"], doc["inverse"], compose
+    """The document's tables, as validate and validate_by_sweep take them."""
+    return doc["elements"], doc["source"], doc["range"], doc["inverse"], doc["compose"]
 
 
 def _corrupted_doc(g, rng, kinds):
     """g's document with one corruption of each kind, its triples shuffled.
     Undeclared ids come last, so the other kinds read only g's elements."""
     doc = to_json_obj(g)
-    triples = doc["compose"]
+    table = doc["compose"]
     elements = list(g.elements)
     for n, kind in enumerate(sorted(kinds, key="undeclared".__eq__)):
-        if not triples:
+        if not table:
             break
-        i = rng.randrange(len(triples))
-        old = triples[i][2]
+        i = rng.randrange(len(table))
+        old = table[i][2]
         if kind == "undeclared":
-            triples[i][rng.randrange(3)] = f"stranger{n}"
+            table[i][rng.randrange(3)] = f"stranger{n}"
         elif kind == "non-composable":
-            pairs = [(a, b) for a in elements for b in elements if not g.composable(a, b)]
-            if pairs:
-                triples.append([*rng.choice(pairs), rng.choice(elements)])
+            apart = [(a, b) for a in elements for b in elements if not g.composable(a, b)]
+            if apart:
+                table.append([*rng.choice(apart), rng.choice(elements)])
         elif kind == "missing":
-            del triples[i]
+            del table[i]
         elif kind == "product":
-            triples[i][2] = rng.choice([c for c in elements if c != old] or [old])
+            table[i][2] = rng.choice([c for c in elements if c != old] or [old])
         elif kind == "associativity":  # a value with the right ends
-            a, b, _ = triples[i]
-            triples[i][2] = rng.choice([
+            a, b, _ = table[i]
+            table[i][2] = rng.choice([
                 c for c in elements if g.s(c) == g.s(b) and g.r(c) == g.r(a) and c != old
             ] or [old])
-    rng.shuffle(triples)
+    rng.shuffle(table)
     return doc
 
 
@@ -510,18 +565,16 @@ def _corrupted_doc(g, rng, kinds):
         max_size=3,
     ),
 )
-def test_from_json_lists_what_validate_lists_for_the_same_tables(seed, size, kinds):
-    # The rows path words its violations from the document's triples, so
-    # they follow document order exactly as the pair-keyed tables do.
+def test_from_json_lists_what_the_sweep_lists_for_corrupted_documents(seed, size, kinds):
+    # validate words its violations from the document's triples, so they
+    # follow document order exactly as the sweep's do.
     rng = random.Random(seed)
     g = renamed(random_groupoid(rng, size), rng)
     doc = _corrupted_doc(g, rng, kinds)
     if len({(a, b) for a, b, _ in doc["compose"]}) < len(doc["compose"]):
         return  # two corruptions met on one pair; the loader refuses that
-    tables = _doc_tables(doc)
-    expected = _outcome(validate, tables)
+    expected = _outcome(validate_by_sweep, _doc_tables(doc))
     assert _loaded(json.loads(json.dumps(doc))) == expected
-    assert expected == _outcome(validate_by_sweep, tables)
 
 
 def test_from_json_lists_each_kind_of_violation_in_document_order():
@@ -532,7 +585,6 @@ def test_from_json_lists_each_kind_of_violation_in_document_order():
             doc = _corrupted_doc(g, random.Random(seed), kinds)
             violations = _loaded(doc)
             assert isinstance(violations, list) and violations
-            assert violations == _outcome(validate, _doc_tables(doc))
             assert violations == _outcome(validate_by_sweep, _doc_tables(doc))
 
 
@@ -561,6 +613,12 @@ def test_from_json_keeps_its_messages_for_malformed_documents(doc, message):
         from_json_obj(doc)
     assert not isinstance(exc_info.value, GroupoidValidationError)
     assert str(exc_info.value) == message
+    if message.startswith(("bad composition", "duplicate composition", "'compose'")):
+        # validate reads the same triples first, so it names the same one
+        with pytest.raises(ValueError) as exc_info:
+            validate(*_doc_tables(doc))
+        assert not isinstance(exc_info.value, GroupoidValidationError)
+        assert str(exc_info.value) == message
 
 
 def test_compose_is_read_off_the_rows_and_round_trips():
@@ -568,10 +626,9 @@ def test_compose_is_read_off_the_rows_and_round_trips():
     doc = to_json_obj(transitive_groupoid(["p", "q", "r"], cyclic_group(2)))
     rng.shuffle(doc["compose"])
     g = from_json_obj(doc)
-    assert g.compose == {(a, b): c for a, b, c in doc["compose"]}
+    assert pairs(g) == {(a, b): c for a, b, c in doc["compose"]}
     assert all(g.rows[a][b] == c == g.mul(a, b) for a, b, c in doc["compose"])
-    again = groupoid.FiniteGroupoid(g.elements, g.source_of, g.range_of, g.inverse_of, g.compose)
-    assert again.rows == g.rows and again.compose == g.compose
+    again = groupoid.FiniteGroupoid(g.elements, g.source_of, g.range_of, g.inverse_of, g.rows)
     assert to_json_obj(again) == to_json_obj(g) == to_json_obj(from_json_obj(to_json_obj(g)))
 
 

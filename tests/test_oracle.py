@@ -36,7 +36,7 @@ from steinberg.oracle import (
     _batched_rref,
     _digits,
     _gather_tables,
-    _in_span,
+    _members,
     _packed_products,
     _products,
     _tables,
@@ -543,10 +543,15 @@ def test_in_span_matches_reference_membership(p, kind):
     inside = [basis.contains(v.tolist()) for v in vectors]
     assert inside[:10] == [True] * 10
     assert all(inside) == (kind == "full rank")
-    assert [_in_span(v[None], rows, p) for v in vectors] == inside
-    assert _in_span(vectors[inside], rows, p)
-    assert _in_span(vectors, rows, p) == all(inside)
-    assert _in_span(vectors[:0], rows, p)
+
+    def in_span(vectors) -> bool:
+        """The socle's closure check: whether every vector lies in the span."""
+        return bool(_members(vectors, rows[None], p).all())
+
+    assert [in_span(v[None]) for v in vectors] == inside
+    assert in_span(vectors[inside])
+    assert in_span(vectors) == all(inside)
+    assert in_span(vectors[:0])
 
 
 def test_large_primes_cost_no_table_of_inverses(time_limit):

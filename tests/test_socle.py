@@ -46,7 +46,9 @@ from references import (
     exhaustive_minimality,
     generated_dimension,
     intersection_is_zero,
+    pairs,
     rref,
+    rows_of,
 )
 from test_groupoid import renamed
 
@@ -284,9 +286,11 @@ def test_certificate_requires_unit():
 def test_certificate_checks_the_isotropy_table():
     # g * g = g breaks t * t = 2 t, which both flavours rest on
     g = one_object_groupoid(cyclic_group(2))
-    assert g.compose[("g", "g")] == "e"
-    compose = {**g.compose, ("g", "g"): "g"}
-    corrupted = FiniteGroupoid(g.elements, g.source_of, g.range_of, g.inverse_of, compose)
+    assert g.rows["g"]["g"] == "e"
+    compose = {**pairs(g), ("g", "g"): "g"}
+    corrupted = FiniteGroupoid(
+        g.elements, g.source_of, g.range_of, g.inverse_of, rows_of(g.elements, compose)
+    )
     for field in (Q, PrimeField(2)):
         with pytest.raises(RuntimeError, match="isotropy group at unit 'e'"):
             minimal_ideal_generator(SteinbergAlgebra(corrupted, field), "e")
@@ -796,9 +800,11 @@ def test_socle_closed_form_matches_closure(designator):
 
 def test_socle_checks_matrix_units_against_the_table():
     g = pair_groupoid(["a", "b", "c"])
-    assert g.compose[("a<b", "b<c")] == "a<c"
-    compose = {**g.compose, ("a<b", "b<c"): "a<b"}
-    corrupted = FiniteGroupoid(g.elements, g.source_of, g.range_of, g.inverse_of, compose)
+    assert g.rows["a<b"]["b<c"] == "a<c"
+    compose = {**pairs(g), ("a<b", "b<c"): "a<b"}
+    corrupted = FiniteGroupoid(
+        g.elements, g.source_of, g.range_of, g.inverse_of, rows_of(g.elements, compose)
+    )
     algebra = SteinbergAlgebra(corrupted, Q)
     with pytest.raises(RuntimeError, match="matrix units fail") as exc_info:
         socle(algebra)
@@ -812,7 +818,7 @@ def test_socle_rejects_two_arrows_between_the_same_units():
         {**g.source_of, "a<b'": "b"},
         {**g.range_of, "a<b'": "a"},
         {**g.inverse_of, "a<b'": "b<a"},
-        g.compose,
+        rows_of(g.elements + ("a<b'",), pairs(g)),
     )
     assert check_condition_LP(twin).holds
     with pytest.raises(RuntimeError, match="both run from"):
@@ -828,7 +834,7 @@ def test_socle_rejects_an_orbit_with_a_missing_arrow():
     star = FiniteGroupoid(
         kept,
         *({e: m[e] for e in kept} for m in (g.source_of, g.range_of, g.inverse_of)),
-        {ab: c for ab, c in g.compose.items() if gone.isdisjoint((*ab, c))},
+        rows_of(kept, {ab: c for ab, c in pairs(g).items() if gone.isdisjoint((*ab, c))}),
     )
     assert check_condition_LP(star).holds
     assert [c.members for c in star.orbit_classes()] == [("a", "b", "c")]
